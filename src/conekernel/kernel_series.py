@@ -21,9 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._compensated import CompensatedSum
 from .errors import CapacityError, DomainError
-from .specfun import DEFAULT_TOL, bessel_j_many, gegenbauer_all, log_gamma
+from .specfun import (
+    DEFAULT_TOL,
+    _lanczos,
+    _log_gamma_array,
+    bessel_j_many,
+    gegenbauer_all,
+    log_gamma,
+)
 from .spectrum import ConeParams, nu, nu_many
 
 __all__ = [
@@ -40,6 +46,16 @@ __all__ = [
 
 _TRUNCATION_CAP = 10_000_000
 _RATIO_CAP = 0.95
+# Candidate indices screened per NumPy pass of the truncation search: the
+# block doubles from the first size up to the last, so a search that ends
+# at M costs O(M) array work and never allocates more than one block.
+_BLOCK_FIRST = 64
+_BLOCK_LAST = 1 << 15
+# Relative width of the screen's margin, measured against the magnitude of
+# the summands of a log-tail term.  The array and scalar forms of a term
+# differ by a few ulps of that magnitude (np.log and math.log may round
+# differently); the margin is over a thousand times wider.
+_SCREEN_SLACK = 1e-12
 
 
 def _check_positive(name: str, v) -> float:
@@ -96,15 +112,17 @@ class SeriesResult:
 
 def _log_tail_term(params: ConeParams, x: float, m: int) -> float:
     """log of the m-th tail majorant term (endpoint Gegenbauer bound)."""
+    # m >= 1 keeps every argument but 2d at or above 1, where log_gamma is
+    # the bare Lanczos sum
     d = params.d
     nm = nu(params, m)
-    log_c_end = log_gamma(m + 2.0 * d) - log_gamma(m + 1.0) - log_gamma(2.0 * d)
+    log_c_end = _lanczos(m + 2.0 * d, math.log) - _lanczos(m + 1.0, math.log) - log_gamma(2.0 * d)
     return (
         -d * math.log(x)
         + math.log((m + d) / d)
         + log_c_end
         + nm * math.log(0.5 * x)
-        - log_gamma(nm + 1.0)
+        - _lanczos(nm + 1.0, math.log)
     )
 
 
@@ -123,17 +141,56 @@ def _certify_tail(params: ConeParams, x: float, m: int, tol: float) -> float | N
     return tail if tail < tol else None
 
 
+def _screen(params: ConeParams, x: float, tol: float, m0: int, m1: int) -> np.ndarray:
+    """Indices m in [m0, m1) that may pass _certify_tail, from one array
+    pass.  Every test is biased towards passing by more than the array and
+    scalar forms of the log-tail terms can differ, so every index that the
+    scalar check accepts is kept; the caller confirms them in order."""
+    d = params.d
+    ms = np.arange(m0 + 1, m1 + 3)
+    fm = ms.astype(float)
+    nms = nu_many(params, ms)
+    log_h = math.log(0.5 * x)
+    lg_top, lg_fact, lg_nu = _log_gamma_array(
+        np.concatenate((fm + 2.0 * d, fm + 1.0, nms + 1.0))
+    ).reshape(3, -1)
+    lt = (
+        np.log((fm + d) / d)
+        + (lg_top - lg_fact)
+        + (nms * log_h - lg_nu)
+        + (-d * math.log(x) - log_gamma(2.0 * d))
+    )
+    # every summand, log-gamma internals included, is largest at the last m
+    size = float(nms[-1] + fm[-1]) + 2.0 * d + 10.0
+    slack = _SCREEN_SLACK * (
+        1.0 + abs(d * math.log(x)) + float(nms[-1]) * abs(log_h) + 4.0 * size * math.log(size)
+    )
+    # clipping keeps exp finite without changing any verdict
+    lt_cut = math.log(tol) - math.log(10.0)
+    lt1 = np.minimum(lt[:-2] - slack, lt_cut)
+    steps = lt[1:] - lt[:-1]
+    r = np.exp(np.minimum(np.maximum(steps[:-1], steps[1:]) - slack, 0.0))
+    tail = np.exp(lt1) / (1.0 - np.minimum(r, _RATIO_CAP))
+    ok = (lt1 < lt_cut) & (r <= _RATIO_CAP) & (tail < tol)
+    return m0 + np.nonzero(ok)[0]
+
+
 def _truncation(params: ConeParams, x: float, tol: float) -> tuple[int, float]:
-    m = 0
-    while True:
-        tail = _certify_tail(params, x, m, tol)
-        if tail is not None:
-            return m, tail
-        m += 1
-        if m > _TRUNCATION_CAP:
-            raise CapacityError(
-                f"truncation index exceeded {_TRUNCATION_CAP} at x = {x}"
-            )
+    """First m in [0, _TRUNCATION_CAP] that _certify_tail accepts, with its
+    tail bound: blocks of m are screened in bulk, then each surviving index
+    is confirmed in order by the scalar check, so M and the bound equal a
+    scan of _certify_tail over m = 0, 1, 2, ..."""
+    m0 = 0
+    block = _BLOCK_FIRST
+    while m0 <= _TRUNCATION_CAP:
+        m1 = min(m0 + block, _TRUNCATION_CAP + 1)
+        for m in _screen(params, x, tol, m0, m1):
+            tail = _certify_tail(params, x, int(m), tol)
+            if tail is not None:
+                return int(m), tail
+        m0 = m1
+        block = min(2 * block, _BLOCK_LAST)
+    raise CapacityError(f"truncation index exceeded {_TRUNCATION_CAP} at x = {x}")
 
 
 def truncation_index(params: ConeParams, x: float, tol: float) -> int:
@@ -183,13 +240,11 @@ def eval_I_multi(
     results = []
     for phi in phis:
         cg = gegenbauer_all(m_top, d, math.cos(phi))
-        acc_re = CompensatedSum()
-        acc_im = CompensatedSum()
-        for m in range(m_top + 1):
-            a = amp[m] * cg[m]
-            acc_re.add(a * phase_re[m])
-            acc_im.add(a * phase_im[m])
-        value = complex(scale * acc_re.value, scale * acc_im.value)
+        a = amp * cg
+        # fsum is correctly rounded: no accumulation error beyond the products
+        re = math.fsum((a * phase_re).tolist())
+        im = math.fsum((a * phase_im).tolist())
+        value = complex(scale * re, scale * im)
         results.append(SeriesResult(value=value, terms_used=m_top + 1, tail_bound=tail))
     return results
 
