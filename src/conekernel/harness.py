@@ -27,7 +27,7 @@ from .asymptotics import (
 )
 from .critical_points import is_resonant_rho
 from .errors import DomainError, InputError
-from .kernel_series import eval_I_multi
+from .kernel_series import _check_positive, _eval_grid
 from .spectrum import ConeParams
 
 __all__ = [
@@ -148,8 +148,8 @@ def _endpoint_angle(phi: float) -> float | None:
     return None
 
 
-def _scan_one_x(params: ConeParams, phis: list[float], tol: float, x: float) -> list[complex]:
-    return [res.value for res in eval_I_multi(params, x, phis, tol=tol)]
+def _scan_values(params: ConeParams, phis: list[float], tol: float, xs: list[float]):
+    return [[res.value for res in per_phi] for per_phi in _eval_grid(params, xs, phis, tol)]
 
 
 def scan(
@@ -161,12 +161,19 @@ def scan(
     pairing: str = "auto",
     workers: int = 1,
 ) -> ScanTable:
-    """Evaluate the series on the product grid.  Work is grouped by x so
-    each Bessel batch is shared across all angles; groups may be spread
-    over `workers` processes (results are identical for any worker
-    count).  Predictions are attached only at endpoint angles (within
-    1e-12 of 0 or pi) with x >= 1, and only when 1/rho is not an even
-    integer."""
+    """Evaluate the series on the product grid.  The x values go through
+    one grid evaluation, which forms what does not depend on x once (the
+    truncation screen, the nu ladder, one Gegenbauer row per angle, the
+    Bessel quadrature faces per panel count) and shares each x's Bessel
+    batch across all angles; every value is bitwise the one eval_I_multi
+    gives at that x.  With `workers` > 1, contiguous chunks of the x grid
+    are evaluated in that many processes (results are identical for any
+    worker count).  When several x fail, the error raised may name another
+    x than a per-x loop would: every truncation runs before any Bessel
+    batch, so a CapacityError comes first, and Bessel batches run in
+    panel-count order.  Envelopes are computed once per x.  Predictions are
+    attached only at endpoint angles (within 1e-12 of 0 or pi) with
+    x >= 1, and only when 1/rho is not an even integer."""
     xs = [float(x) for x in x_grid]
     phis = [float(p) for p in phi_grid]
     if not xs or not phis:
@@ -181,6 +188,7 @@ def scan(
         raise InputError("scan grids must not contain duplicates")
     if not isinstance(workers, int) or workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers!r}")
+    tol = _check_positive("tol", tol)
 
     predict = with_prediction and not is_resonant_rho(params.rho)
     resolved: str | None = None
@@ -191,13 +199,18 @@ def scan(
         else:
             resolved = pairing
 
-    work = partial(_scan_one_x, params, phis, tol)
     if workers == 1 or len(xs) == 1:
-        per_x = [work(x) for x in xs]
+        per_x = _scan_values(params, phis, tol, xs)
     else:
+        # contiguous chunks keep neighbouring x, which share the most, together
+        n_chunks = min(len(xs), 4 * workers)
+        cuts = [len(xs) * k // n_chunks for k in range(n_chunks + 1)]
+        chunks = [xs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
         with get_context("fork").Pool(processes=min(workers, len(xs))) as pool:
-            per_x = pool.map(work, xs, chunksize=max(1, len(xs) // (4 * workers)))
+            parts = pool.map(partial(_scan_values, params, phis, tol), chunks, chunksize=1)
+        per_x = [values for part in parts for values in part]
 
+    envelopes = [(envelope_interior(params, x), envelope_general(params, x)) for x in xs]
     rows: list[ScanRow] = []
     for j, phi in enumerate(phis):
         endpoint = _endpoint_angle(phi)
@@ -211,8 +224,8 @@ def scan(
                     x=x,
                     phi=phi,
                     value=value,
-                    env_interior=envelope_interior(params, x),
-                    env_general=envelope_general(params, x),
+                    env_interior=envelopes[i][0],
+                    env_general=envelopes[i][1],
                     prediction=prediction,
                 )
             )

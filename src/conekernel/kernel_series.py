@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
+from . import specfun
 from .errors import CapacityError, DomainError
 from .specfun import (
     DEFAULT_TOL,
     _lanczos,
     _log_gamma_array,
-    bessel_j_many,
     gegenbauer_all,
     log_gamma,
 )
@@ -56,6 +57,8 @@ _BLOCK_LAST = 1 << 15
 # differ by a few ulps of that magnitude (np.log and math.log may round
 # differently); the margin is over a thousand times wider.
 _SCREEN_SLACK = 1e-12
+# Largest (x values x candidate indices) array of one screen pass (2 MB).
+_SCREEN_ELEMS = 1 << 18
 
 
 def _check_positive(name: str, v) -> float:
@@ -141,38 +144,68 @@ def _certify_tail(params: ConeParams, x: float, m: int, tol: float) -> float | N
     return tail if tail < tol else None
 
 
-def _screen(params: ConeParams, x: float, tol: float, m0: int, m1: int) -> np.ndarray:
-    """Indices m in [m0, m1) that may pass _certify_tail, from one array
-    pass.  Every test is biased towards passing by more than the array and
-    scalar forms of the log-tail terms can differ, so every index that the
-    scalar check accepts is kept; the caller confirms them in order."""
+def _screen(params: ConeParams, xs, tol: float, m0: int, m1: int):
+    """For each x, the indices m in [m0, m1) that may pass _certify_tail,
+    from array passes over the (x, m) grid.  Every test is biased towards
+    passing by more than the array and scalar forms of the log-tail terms
+    can differ, so every index that the scalar check accepts is kept; the
+    caller confirms them in order.  The x-independent parts of the terms
+    are formed once; at most _SCREEN_ELEMS grid cells are held at a time."""
     d = params.d
     ms = np.arange(m0 + 1, m1 + 3)
     fm = ms.astype(float)
     nms = nu_many(params, ms)
-    log_h = math.log(0.5 * x)
     lg_top, lg_fact, lg_nu = _log_gamma_array(
         np.concatenate((fm + 2.0 * d, fm + 1.0, nms + 1.0))
     ).reshape(3, -1)
-    lt = (
-        np.log((fm + d) / d)
-        + (lg_top - lg_fact)
-        + (nms * log_h - lg_nu)
-        + (-d * math.log(x) - log_gamma(2.0 * d))
-    )
+    base = np.log((fm + d) / d) + (lg_top - lg_fact)
     # every summand, log-gamma internals included, is largest at the last m
     size = float(nms[-1] + fm[-1]) + 2.0 * d + 10.0
-    slack = _SCREEN_SLACK * (
-        1.0 + abs(d * math.log(x)) + float(nms[-1]) * abs(log_h) + 4.0 * size * math.log(size)
-    )
-    # clipping keeps exp finite without changing any verdict
     lt_cut = math.log(tol) - math.log(10.0)
-    lt1 = np.minimum(lt[:-2] - slack, lt_cut)
-    steps = lt[1:] - lt[:-1]
-    r = np.exp(np.minimum(np.maximum(steps[:-1], steps[1:]) - slack, 0.0))
-    tail = np.exp(lt1) / (1.0 - np.minimum(r, _RATIO_CAP))
-    ok = (lt1 < lt_cut) & (r <= _RATIO_CAP) & (tail < tol)
-    return m0 + np.nonzero(ok)[0]
+    found = []
+    rows = max(1, _SCREEN_ELEMS // ms.shape[0])
+    for lo in range(0, len(xs), rows):
+        part = xs[lo : lo + rows]
+        log_x = np.array([math.log(x) for x in part])[:, None]
+        log_h = np.array([math.log(0.5 * x) for x in part])[:, None]
+        lt = base + (nms * log_h - lg_nu) + (-d * log_x - log_gamma(2.0 * d))
+        slack = _SCREEN_SLACK * (
+            1.0 + np.abs(d * log_x) + float(nms[-1]) * np.abs(log_h) + 4.0 * size * math.log(size)
+        )
+        # clipping keeps exp finite without changing any verdict
+        lt1 = np.minimum(lt[:, :-2] - slack, lt_cut)
+        steps = np.diff(lt, axis=1)
+        r = np.exp(np.minimum(np.maximum(steps[:, :-1], steps[:, 1:]) - slack, 0.0))
+        tail = np.exp(lt1) / (1.0 - np.minimum(r, _RATIO_CAP))
+        ok = (lt1 < lt_cut) & (r <= _RATIO_CAP) & (tail < tol)
+        found.extend(m0 + np.nonzero(row)[0] for row in ok)
+    return found
+
+
+def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
+    """(M, tail bound) of _truncation for every x, searched together: each
+    block of the schedule is screened for all still-uncertified x in one
+    grid pass, and each x's survivors are confirmed in order by the scalar
+    check, so every M and bound equals the one-x search."""
+    found: list = [None] * len(xs)
+    pending = list(range(len(xs)))
+    m0 = 0
+    block = _BLOCK_FIRST
+    while pending and m0 <= _TRUNCATION_CAP:
+        m1 = min(m0 + block, _TRUNCATION_CAP + 1)
+        candidates = _screen(params, [xs[i] for i in pending], tol, m0, m1)
+        for i, cands in zip(pending, candidates):
+            for m in cands:
+                tail = _certify_tail(params, xs[i], int(m), tol)
+                if tail is not None:
+                    found[i] = (int(m), tail)
+                    break
+        pending = [i for i in pending if found[i] is None]
+        m0 = m1
+        block = min(2 * block, _BLOCK_LAST)
+    if pending:
+        raise CapacityError(f"truncation index exceeded {_TRUNCATION_CAP} at x = {xs[pending[0]]}")
+    return found
 
 
 def _truncation(params: ConeParams, x: float, tol: float) -> tuple[int, float]:
@@ -180,17 +213,7 @@ def _truncation(params: ConeParams, x: float, tol: float) -> tuple[int, float]:
     tail bound: blocks of m are screened in bulk, then each surviving index
     is confirmed in order by the scalar check, so M and the bound equal a
     scan of _certify_tail over m = 0, 1, 2, ..."""
-    m0 = 0
-    block = _BLOCK_FIRST
-    while m0 <= _TRUNCATION_CAP:
-        m1 = min(m0 + block, _TRUNCATION_CAP + 1)
-        for m in _screen(params, x, tol, m0, m1):
-            tail = _certify_tail(params, x, int(m), tol)
-            if tail is not None:
-                return int(m), tail
-        m0 = m1
-        block = min(2 * block, _BLOCK_LAST)
-    raise CapacityError(f"truncation index exceeded {_TRUNCATION_CAP} at x = {x}")
+    return _truncations(params, [x], tol)[0]
 
 
 def truncation_index(params: ConeParams, x: float, tol: float) -> int:
@@ -198,6 +221,87 @@ def truncation_index(params: ConeParams, x: float, tol: float) -> int:
     x = _check_positive("x", x)
     tol = _check_positive("tol", tol)
     return _truncation(params, x, tol)[0]
+
+
+def _eval_grid(
+    params: ConeParams,
+    xs,
+    phis,
+    tol: float,
+    terms: int | None = None,
+) -> list[list[SeriesResult]]:
+    """The series at every x of xs and every angle of phis, unvalidated:
+    per x, the list eval_I_multi(params, x, phis, tol, terms) returns,
+    bitwise.  What does not depend on x is formed once: the truncation
+    screen, the nu ladder and its phases up to the largest M, one
+    Gegenbauer row per angle, and the quadrature faces per panel count.
+    Each x uses a prefix of these; every one is an elementwise or
+    sequential prefix computation, so the slices equal what a one-x
+    evaluation forms.  The x values are visited grouped by panel count so
+    only one count's faces are held at a time."""
+    if terms is None:
+        truncated = _truncations(params, xs, tol)
+    else:
+        m_top = int(terms)
+        certified = [_certify_tail(params, x, m_top, tol) for x in xs]
+        truncated = [(m_top, math.inf if c is None else c) for c in certified]
+    m_max = max(m for m, _ in truncated)
+
+    d = params.d
+    ms = np.arange(m_max + 1)
+    nus = nu_many(params, ms)
+    # e^{-i pi nu/2}: reduce nu mod 4 exactly first (fmod is exact).
+    angles = -0.5 * math.pi * np.mod(nus, 4.0)
+    phase_re = np.cos(angles)
+    phase_im = np.sin(angles)
+    weight = (ms + d) / d
+    cgs = [gegenbauer_all(m_max, d, math.cos(phi)) for phi in phis]
+
+    # nu_m increases with m, so each x's quadrature orders (x > max(12,
+    # nu/2), as in bessel_j_many) are a prefix of the ladder: its length
+    # and the panel count it implies
+    quad = []
+    for x, (m_top, _) in zip(xs, truncated):
+        n_quad = int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[: m_top + 1])))
+        n_panels = specfun._panel_count(float(nus[n_quad - 1]), x) if n_quad else 0
+        quad.append((n_panels, n_quad))
+
+    results: list = [None] * len(xs)
+    order = sorted(range(len(xs)), key=lambda i: quad[i][0])
+    for _, group in groupby(order, key=lambda i: quad[i][0]):
+        group = list(group)
+        longest = max(quad[i][1] for i in group)
+        # a lone x on its panel count forms its faces chunk by chunk, as a
+        # one-x batch does, so scans that share nothing hold nothing extra
+        n_panels = quad[group[0]][0]
+        faces = specfun._quad_faces(nus[:longest], n_panels) if longest and len(group) > 1 else None
+        for i in group:
+            x = xs[i]
+            m_top, tail = truncated[i]
+            n_terms = m_top + 1
+            n_quad = quad[i][1]
+            js = np.empty(n_terms)
+            for m in range(n_quad, n_terms):
+                js[m] = specfun._bessel_series(float(nus[m]), x, DEFAULT_TOL)
+            if n_quad:
+                js[:n_quad] = specfun._bessel_quad_batch(
+                    nus[:n_quad],
+                    x,
+                    DEFAULT_TOL,
+                    faces=None if faces is None else tuple(f[:n_quad] for f in faces),
+                )
+            amp = js * weight[:n_terms]
+            scale = x ** (-d)
+            out = []
+            for cg in cgs:
+                a = amp * cg[:n_terms]
+                # fsum is correctly rounded: no accumulation error beyond the products
+                re = math.fsum((a * phase_re[:n_terms]).tolist())
+                im = math.fsum((a * phase_im[:n_terms]).tolist())
+                value = complex(scale * re, scale * im)
+                out.append(SeriesResult(value=value, terms_used=n_terms, tail_bound=tail))
+            results[i] = out
+    return results
 
 
 def eval_I_multi(
@@ -209,44 +313,17 @@ def eval_I_multi(
 ) -> list[SeriesResult]:
     """Evaluate the series at one x and several angles, sharing the Bessel
     batch across angles.  eval_I(params, KernelPoint(x, phi)) is exactly
-    the single-angle case of this path, so the two agree bitwise.
+    the single-angle case of this path, so the two agree bitwise, and a
+    scan evaluates every x through the same path.
     """
     x = _check_positive("x", x)
     tol = _check_positive("tol", tol)
     phis = [_check_angle(p) for p in phis]
     if not phis:
         raise DomainError("need at least one angle")
-    if terms is None:
-        m_top, tail = _truncation(params, x, tol)
-    else:
-        if not isinstance(terms, (int, np.integer)) or terms < 0:
-            raise DomainError(f"terms must be a nonnegative integer, got {terms!r}")
-        m_top = int(terms)
-        certified = _certify_tail(params, x, m_top, tol)
-        tail = certified if certified is not None else math.inf
-
-    d = params.d
-    ms = np.arange(m_top + 1)
-    nus = nu_many(params, ms)
-    js = bessel_j_many(nus, x, DEFAULT_TOL)
-    # e^{-i pi nu/2}: reduce nu mod 4 exactly first (fmod is exact).
-    r4 = np.mod(nus, 4.0)
-    angles = -0.5 * math.pi * r4
-    phase_re = np.cos(angles)
-    phase_im = np.sin(angles)
-    amp = js * ((ms + d) / d)
-    scale = x ** (-d)
-
-    results = []
-    for phi in phis:
-        cg = gegenbauer_all(m_top, d, math.cos(phi))
-        a = amp * cg
-        # fsum is correctly rounded: no accumulation error beyond the products
-        re = math.fsum((a * phase_re).tolist())
-        im = math.fsum((a * phase_im).tolist())
-        value = complex(scale * re, scale * im)
-        results.append(SeriesResult(value=value, terms_used=m_top + 1, tail_bound=tail))
-    return results
+    if terms is not None and (not isinstance(terms, (int, np.integer)) or terms < 0):
+        raise DomainError(f"terms must be a nonnegative integer, got {terms!r}")
+    return _eval_grid(params, [x], phis, tol, terms)[0]
 
 
 def eval_I(

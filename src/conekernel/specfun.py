@@ -24,6 +24,14 @@ Bessel evaluation strategy
   becomes one complex matrix product followed by weighted sums over q and
   k; no (orders x panels) trig array is formed.
 
+  The faces depend on the orders and the panel count only, never on x,
+  and each entry on one order alone.  A scan therefore forms them once
+  per panel count, for the longest ladder prefix any of its x needs on
+  that count (``_quad_faces``), and hands each x's batch the rows of its
+  own prefix: the same numbers a one-x batch forms chunk by chunk.  What
+  does depend on x (the node matrix e^{-i x sin t}, the matrix product,
+  the contractions and the non-oscillatory part) is formed per batch.
+
   Error model.  Every face phase nu*s is an exact double-double product;
   libm reduces its high part exactly and the low part enters linearly,
   so each face entry is good to ~1 ulp.  x*sin t is a double-double as
@@ -313,7 +321,26 @@ def _panel_nodes(n_panels: int):
 _QUAD_CHUNK_ELEMS = 1 << 20
 
 
-def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
+def _panel_count(nu_max: float, x: float) -> int:
+    """Oscillatory panels for orders up to nu_max at argument x: each
+    panel sees at most ~2 oscillations of cos(nu t - x sin t)."""
+    return max(4, int(math.ceil((nu_max + x) / 4.0)) + 2)
+
+
+def _quad_faces(nus: np.ndarray, n_panels: int):
+    """The three trig faces e^{i nu a_r}, e^{i nu b_q}, e^{i nu o_k} of
+    _bessel_quad_batch for every order in nus, or None when they would
+    hold more than _QUAD_CHUNK_ELEMS entries.  Each entry depends on one
+    order and one node offset only, so the faces of a ladder, sliced, are
+    bitwise the faces of its prefix: a caller that evaluates many x on one
+    panel count forms them once and passes each batch its slice."""
+    centers, starts, offsets = _panel_nodes(n_panels)[:3]
+    if nus.shape[0] * (centers.shape[0] + starts.shape[0] + 16) > _QUAD_CHUNK_ELEMS:
+        return None
+    return tuple(_unit_phases(nus, a) for a in (centers, starts, offsets))
+
+
+def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance, faces=None) -> np.ndarray:
     # Oscillatory part (1/pi) int_0^pi cos(nu t - x sin t) dt, on panels
     # sized so each sees at most ~2 oscillations, written with the node
     # split t = a_r + b_q + o_k of _panel_nodes:
@@ -325,8 +352,8 @@ def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
     # sin c), the first an exact product of x with the double-double sin c,
     # the second a double of size <= x*w/2 <= 2*pi; face phases nu*s are
     # exact double-double products.  Error model: module docstring.
-    nu_max = float(np.max(nus))
-    n_panels = max(4, int(math.ceil((nu_max + x) / 4.0)) + 2)
+    # faces, when given, is _quad_faces of these orders on this panel count.
+    n_panels = _panel_count(float(np.max(nus)), x)
     centers, starts, offsets, (s_hi, s_lo), shift, weights = _panel_nodes(n_panels)
     p_hi, p_lo = two_prod(x, s_hi)
     phi_hi, phi_lo = two_sum(p_hi[:, :, None], x * shift)
@@ -341,11 +368,14 @@ def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
     out = np.empty(nus.shape[0])
     chunk = max(1, _QUAD_CHUNK_ELEMS // (n_blocks * 16))
     for lo_i in range(0, nus.shape[0], chunk):
-        nu_c = nus[lo_i : lo_i + chunk]
-        t = (_unit_phases(nu_c, centers) @ e_mat).reshape(-1, n_blocks, 16)
-        u = (_unit_phases(nu_c, starts)[:, None, :] @ t)[:, 0, :]  # (m, 16)
-        v = _unit_phases(nu_c, offsets)
-        out[lo_i : lo_i + chunk] = np.sum(v.real * u.real - v.imag * u.imag, axis=1)
+        rows = slice(lo_i, lo_i + chunk)
+        # without shared faces, each face is formed for this chunk only
+        f_c = _unit_phases(nus[rows], centers) if faces is None else faces[0][rows]
+        t = (f_c @ e_mat).reshape(-1, n_blocks, 16)
+        f_s = _unit_phases(nus[rows], starts) if faces is None else faces[1][rows]
+        u = (f_s[:, None, :] @ t)[:, 0, :]  # (m, 16)
+        v = _unit_phases(nus[rows], offsets) if faces is None else faces[2][rows]
+        out[rows] = np.sum(v.real * u.real - v.imag * u.imag, axis=1)
 
     sp = _sinpi_array(nus)
     if np.any(sp != 0.0):

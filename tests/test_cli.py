@@ -6,11 +6,13 @@ console script); one subprocess test exercises the installed entry point.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import conekernel
 from conekernel import CSV_HEADER, InputError
 from conekernel.cli import PRESETS, RunConfig, main, parse_angle, parse_ratio
 
@@ -238,6 +240,13 @@ def test_scan_prediction_rejected_at_resonance(capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "inf", "nan"])
+def test_scan_bad_tol_exits_two(capsys, tol):
+    code, _, err = run_cli(capsys, *SCAN_ARGS, "--tol", tol)
+    assert code == 2
+    assert "tol" in err
+
+
 def test_scan_unwritable_output_exits_four(capsys):
     code, _, _ = run_cli(capsys, *SCAN_ARGS, "--out", "/nonexistent-dir/t.csv")
     assert code == 4
@@ -417,12 +426,17 @@ def test_verify_epsilon0_angle_family(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the package under test, installed or not
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(conekernel.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "conekernel", "eval",
          "--rho", "1", "--n", "3", "--c", "0", "--x", "10", "--phi", "1.0"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
