@@ -6,14 +6,12 @@ series grows like sqrt(x) with a clean oscillation at frequency mu0 = sin of
 the refocusing angle.  Stationary-phase analysis predicts the growing part
 explicitly:
 
-    P(x) = A * exp(i(s * omega * x + L)) * x^(1/2),
+    P(x) = A * exp(i(s * omega * x + L)) * x^(1/2),    s = -sigma1,
 
 with every constant computable from the critical-set geometry alone.  This
 script measures the growth exponent and dominant frequency from the series,
 then subtracts P(x) and shows that the remainder stops growing.
 """
-
-import math
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from conekernel import (
     octave_maxima,
     principal_prediction,
     scan,
-    select_pairing,
 )
 
 RHO = 1.0 / 3.0
@@ -66,18 +63,8 @@ def main() -> None:
     print(f"dominant frequency on [200, 302]:        {freq:.6f}  (expect 0.5)")
 
     # Subtract the predicted principal term and measure what is left.
-    diag = select_pairing(params, phi0)
-    print(f"\nphase-sign pairing selected empirically: {diag.winner}")
-    for name, rms in sorted(diag.rms_residual.items()):
-        print(f"  rms residual with {name:>9} pairing: {rms:.4f}")
-
     sample = [r for r in rows if r.x >= 200.0]
-    residuals = np.array(
-        [
-            abs(r.value - principal_prediction(params, phi0, r.x, pairing=diag.winner))
-            for r in sample
-        ]
-    )
+    residuals = np.array([abs(r.value - principal_prediction(params, phi0, r.x)) for r in sample])
     rx = np.array([r.x for r in sample])
     rmx, rmy = octave_maxima(rx, residuals, bins_per_octave=3)
     rfit = fit_decay_exponent(rmx, rmy)

@@ -11,16 +11,12 @@ Quick start::
 """
 
 from .asymptotics import (
-    PAIRINGS,
-    PairingDiagnostics,
     PrincipalTerm,
-    clear_pairing_cache,
     dispersive_envelope,
     envelope_general,
     envelope_interior,
     principal_prediction,
     principal_terms,
-    select_pairing,
 )
 from .critical_points import (
     BranchLabel,
@@ -124,12 +120,8 @@ __all__ = [
     "critical_data_to_json",
     # asymptotics and envelopes
     "PrincipalTerm",
-    "PairingDiagnostics",
-    "PAIRINGS",
     "principal_terms",
     "principal_prediction",
-    "select_pairing",
-    "clear_pairing_cache",
     "envelope_interior",
     "envelope_general",
     "dispersive_envelope",

@@ -8,12 +8,12 @@ mu0 in D_{rho,sigma1}(phi0) contributes one oscillatory principal term
     omega = sqrt(1 - mu0**2),
     L = -s1*(d/rho)*arccos(mu0) - pi*d/(2*rho),
 
-where s1 is the sign carried into the exponent.  Two conventions for
-mapping the conjugate-point label sigma1 to s1 are implemented:
-"literal" (s1 = sigma1) and "algebraic" (s1 = -sigma1); select_pairing
-picks whichever matches direct evaluation, so the choice is measured,
-not assumed.  The sum of principal terms approximates the series value
-with residual O(max(x**(d - 1/2), 1)).
+where s1 = -sigma1 is the sign carried into the exponent.  This sign
+convention is fixed by measurement: against direct evaluation of the
+series at x = 500 to 2000, the opposite choice s1 = sigma1 left a
+residual at least 13 times larger in every case measured (tests keep
+that comparison).  The sum of principal terms approximates the series
+value with residual O(max(x**(d - 1/2), 1)).
 
 Small x: the modulus is governed by (1 + 1/x)**(d - nu0), which decays
 like x**(nu0 - d) as x -> 0 and flattens to 1 for large x.  The general
@@ -26,26 +26,21 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from ._checks import check_endpoint_angle, check_positive
 from .critical_points import conjugate_frequencies, is_resonant_rho
 from .errors import DomainError, UnsupportedRegimeError
-from .kernel_series import KernelPoint, PhysicalPoint, eval_I, kappa
+from .kernel_series import PhysicalPoint, kappa
 from .specfun import acos_unit, log_gamma
 from .spectrum import ConeParams
 
 __all__ = [
-    "PAIRINGS",
     "PrincipalTerm",
-    "PairingDiagnostics",
     "principal_terms",
     "principal_prediction",
-    "select_pairing",
-    "clear_pairing_cache",
     "envelope_interior",
     "envelope_general",
     "dispersive_envelope",
 ]
-
-PAIRINGS = ("literal", "algebraic")
 
 _RESONANCE_TOL = 1e-9
 
@@ -57,20 +52,6 @@ def _check_regime(rho: float) -> None:
             f"large-x principal terms are undefined when 1/rho is an even "
             f"integer: 1/rho = {1.0 / rho} is within {_RESONANCE_TOL} of {2 * k}"
         )
-
-
-def _check_pairing(pairing: str) -> str:
-    if pairing not in PAIRINGS:
-        raise DomainError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
-    return pairing
-
-
-def _check_endpoint_angle(phi0) -> float:
-    if phi0 == 0.0:
-        return 0.0
-    if phi0 == math.pi:
-        return math.pi
-    raise DomainError(f"phi0 must be exactly 0 or pi, got {phi0!r}")
 
 
 @dataclass(frozen=True)
@@ -85,19 +66,16 @@ class PrincipalTerm:
     mu0: float
 
 
-def principal_terms(
-    params: ConeParams, phi0: float, pairing: str = "algebraic"
-) -> list[PrincipalTerm]:
-    """All principal terms at endpoint angle phi0, under one pairing."""
-    phi0 = _check_endpoint_angle(phi0)
-    _check_pairing(pairing)
+def principal_terms(params: ConeParams, phi0: float) -> list[PrincipalTerm]:
+    """All principal terms at endpoint angle phi0."""
+    phi0 = check_endpoint_angle(phi0)
     _check_regime(params.rho)
     d = params.d
     gamma_2d = math.exp(log_gamma(2.0 * d))
     out: list[PrincipalTerm] = []
     for label_sign in (1, -1):
         for datum in conjugate_frequencies(params.rho, label_sign, phi0):
-            s1 = -label_sign if pairing == "algebraic" else label_sign
+            s1 = -label_sign
             amplitude = (
                 params.rho ** (2.0 * d + 1.0) * datum.mu0 ** (2.0 * d) / (d * gamma_2d)
             )
@@ -118,93 +96,30 @@ def principal_terms(
     return out
 
 
-def _evaluate_terms(terms: list[PrincipalTerm], d: float, x: float) -> complex:
+def principal_prediction(params: ConeParams, phi0: float, x: float) -> complex:
+    """Sum of principal terms at argument x >= 1."""
+    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 1.0):
+        raise DomainError(f"prediction requires x >= 1, got {x!r}")
+    x = float(x)
     total = 0j
-    for term in terms:
+    for term in principal_terms(params, phi0):
         total += term.amplitude * cmath.exp(
             1j * (term.sigma1 * term.frequency * x + term.phase_constant)
         )
-    return total * x**d
-
-
-@dataclass(frozen=True)
-class PairingDiagnostics:
-    """Outcome of the measured pairing selection: the winning convention
-    and the root-mean-square prediction residual of each candidate over
-    the probe arguments."""
-
-    winner: str
-    rms_residual: dict
-    probe_xs: tuple
-
-
-_PAIRING_CACHE: dict = {}
-
-
-def clear_pairing_cache() -> None:
-    _PAIRING_CACHE.clear()
-
-
-def select_pairing(
-    params: ConeParams,
-    phi0: float,
-    probe_xs: tuple = (500.0, 900.0, 1400.0, 2000.0),
-) -> PairingDiagnostics:
-    """Evaluate the series at a few large arguments and keep whichever
-    pairing convention has the smaller prediction residual.  Results are
-    cached per (params, phi0, probe_xs)."""
-    phi0 = _check_endpoint_angle(phi0)
-    probe_xs = tuple(float(x) for x in probe_xs)
-    if any(not (math.isfinite(x) and x >= 1.0) for x in probe_xs) or not probe_xs:
-        raise DomainError(f"probe_xs must be finite values >= 1, got {probe_xs!r}")
-    key = (params, phi0, probe_xs)
-    cached = _PAIRING_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    terms = {p: principal_terms(params, phi0, p) for p in PAIRINGS}
-    sq = {p: 0.0 for p in PAIRINGS}
-    for x in probe_xs:
-        value = eval_I(params, KernelPoint(x=x, phi=phi0)).value
-        for p in PAIRINGS:
-            sq[p] += abs(value - _evaluate_terms(terms[p], params.d, x)) ** 2
-    rms = {p: math.sqrt(sq[p] / len(probe_xs)) for p in PAIRINGS}
-    winner = "algebraic" if rms["algebraic"] <= rms["literal"] else "literal"
-    diagnostics = PairingDiagnostics(winner=winner, rms_residual=rms, probe_xs=probe_xs)
-    _PAIRING_CACHE[key] = diagnostics
-    return diagnostics
-
-
-def principal_prediction(
-    params: ConeParams, phi0: float, x: float, pairing: str = "auto"
-) -> complex:
-    """Sum of principal terms at argument x >= 1.  pairing="auto" runs
-    (or reuses) the measured selection; pass "literal"/"algebraic" to
-    force a convention."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 1.0):
-        raise DomainError(f"prediction requires x >= 1, got {x!r}")
-    if pairing == "auto":
-        pairing = select_pairing(params, phi0).winner
-    return _evaluate_terms(principal_terms(params, phi0, pairing), params.d, float(x))
-
-
-def _check_x(x) -> float:
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"x must be a positive finite number, got {x!r}")
-    return float(x)
+    return total * x**params.d
 
 
 def envelope_interior(params: ConeParams, x: float) -> float:
     """(1 + 1/x)**(d - nu0): the interior-angle modulus envelope, exact
     order x**(nu0 - d) as x -> 0 and bounded by 1 as x -> infinity when
     the coupling is repulsive (nu0 >= d)."""
-    x = _check_x(x)
+    x = check_positive("x", x)
     return (1.0 + 1.0 / x) ** (params.d - params.nu0)
 
 
 def envelope_general(params: ConeParams, x: float) -> float:
     """(1 + x)**d * envelope_interior: admits the x**d endpoint growth."""
-    x = _check_x(x)
+    x = check_positive("x", x)
     return (1.0 + x) ** params.d * envelope_interior(params, x)
 
 

@@ -21,6 +21,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, replace
 
+from ._checks import check_angle, check_finite, check_integer
 from .asymptotics import dispersive_envelope, envelope_general, envelope_interior
 from .critical_points import (
     classify,
@@ -89,20 +90,28 @@ def parse_ratio(text: str) -> float:
         raise InputError(f"cannot parse ratio {text!r}") from None
 
 
-_CONFIG_FIELDS = (
-    "rho",
-    "n",
-    "c",
-    "which",
-    "threshold",
-    "x_min",
-    "x_max",
-    "x_count",
-    "x_spacing",
-    "phis",
-    "tol",
-    "workers",
-)
+def _check_angles(name: str, v) -> tuple:
+    if not isinstance(v, list):
+        raise InputError(f"{name} must be a list of angles, got {v!r}")
+    return tuple(check_angle(p) for p in v)
+
+
+# How RunConfig.from_json validates each key; which and x_spacing are
+# checked where they are used.
+_CONFIG_CHECKS = {
+    "rho": check_finite,
+    "n": check_integer,
+    "c": check_finite,
+    "which": lambda name, v: v,
+    "threshold": check_finite,
+    "x_min": check_finite,
+    "x_max": check_finite,
+    "x_count": check_integer,
+    "x_spacing": lambda name, v: v,
+    "phis": _check_angles,
+    "tol": check_finite,
+    "workers": check_integer,
+}
 
 
 @dataclass(frozen=True)
@@ -129,20 +138,16 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InputError("config JSON must be an object")
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        unknown = set(data) - set(_CONFIG_CHECKS)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        if "phis" in data:
-            data["phis"] = tuple(float(p) for p in data["phis"])
-        if "n" in data:
-            data["n"] = int(data["n"])
-        if "x_count" in data:
-            data["x_count"] = int(data["x_count"])
-        if "workers" in data:
-            data["workers"] = int(data["workers"])
+        data = {name: _CONFIG_CHECKS[name](name, v) for name, v in data.items()}
         return cls(**data)
 
 
@@ -286,12 +291,11 @@ def _cmd_scan(ns) -> int:
         phis,
         tol=ns.tol,
         with_prediction=ns.with_prediction,
-        pairing=ns.pairing,
         workers=ns.workers,
     )
     if ns.out and ns.out != "-":
         write_csv(table, ns.out)
-        _print_json({"rows": len(table.rows), "pairing": table.pairing, "out": ns.out})
+        _print_json({"rows": len(table.rows), "out": ns.out})
     else:
         sys.stdout.write("\n".join(csv_lines(table)) + "\n")
     return 0
@@ -433,7 +437,6 @@ def _parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--phi", type=str, required=True, help='comma-separated angles, e.g. "0,pi/2,pi"')
     p_scan.add_argument("--tol", type=float, default=1e-10)
     p_scan.add_argument("--with-prediction", action="store_true", help="attach principal-term predictions at endpoint angles")
-    p_scan.add_argument("--pairing", choices=("auto", "literal", "algebraic"), default="auto")
     p_scan.add_argument("--workers", type=int, default=1)
     p_scan.add_argument("--out", type=str, default=None, help='CSV path ("-" or omitted: stdout)')
     p_scan.set_defaults(func=_cmd_scan)

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from ._checks import check_angle, check_endpoint_angle, check_positive
 from .errors import DomainError
 from .specfun import acos_unit
 
@@ -44,32 +45,10 @@ BOUNDARY_SLACK = 1e-13
 _HALF_PI = 0.5 * math.pi
 
 
-def _check_rho(rho) -> float:
-    if not (isinstance(rho, (int, float)) and math.isfinite(rho) and rho > 0):
-        raise DomainError(f"rho must be a positive finite number, got {rho!r}")
-    return float(rho)
-
-
 def _check_sign(name: str, v) -> int:
     if v not in (1, -1):
         raise DomainError(f"{name} must be +1 or -1, got {v!r}")
     return int(v)
-
-
-def _check_phi(phi) -> float:
-    if not (isinstance(phi, (int, float)) and math.isfinite(phi)):
-        raise DomainError(f"phi must be a finite real number, got {phi!r}")
-    if not 0.0 <= phi <= math.pi:
-        raise DomainError(f"phi must lie in [0, pi], got {phi}")
-    return float(phi)
-
-
-def _check_endpoint_angle(phi0) -> float:
-    if phi0 == 0.0:
-        return 0.0
-    if phi0 == math.pi:
-        return math.pi
-    raise DomainError(f"phi0 must be exactly 0 or pi, got {phi0!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +81,7 @@ class CriticalDatum:
 
 def q_bound(rho: float) -> int:
     """Q(rho): enumerate |q| <= Q to exhaust all solvable windings."""
-    rho = _check_rho(rho)
+    rho = check_positive("rho", rho)
     return int(math.floor(1.0 / (2.0 * rho) + 0.5)) + 1
 
 
@@ -116,8 +95,8 @@ def _cell_residual(rho: float, branch: BranchLabel, phi: float, mu0: float) -> f
 
 def critical_set(rho: float, branch: BranchLabel, phi: float) -> list[CriticalDatum]:
     """Solutions mu0 in [0, 1] for one (branch, q) cell: zero or one point."""
-    rho = _check_rho(rho)
-    phi = _check_phi(phi)
+    rho = check_positive("rho", rho)
+    phi = check_angle(phi)
     theta = branch.sigma1 * (branch.sigma2 * rho * phi - _HALF_PI + 2.0 * math.pi * rho * branch.q)
     if theta < -BOUNDARY_SLACK or theta > _HALF_PI + BOUNDARY_SLACK:
         return []
@@ -155,9 +134,9 @@ def critical_set_union(rho: float, sigma1: int, sigma2: int, phi: float) -> list
 def conjugate_frequencies(rho: float, sigma1: int, phi0: float) -> list[CriticalDatum]:
     """The conjugate-point set D_{rho,sigma1}(phi0) over mu in the OPEN
     interval (0, 1); endpoint hits within slack are excluded."""
-    rho = _check_rho(rho)
+    rho = check_positive("rho", rho)
     sigma1 = _check_sign("sigma1", sigma1)
-    phi0 = _check_endpoint_angle(phi0)
+    phi0 = check_endpoint_angle(phi0)
     out: list[CriticalDatum] = []
     for q in range(-q_bound(rho), q_bound(rho) + 1):
         theta = sigma1 * (_HALF_PI + rho * phi0 + 2.0 * math.pi * rho * q)
@@ -181,7 +160,7 @@ def conjugate_frequencies(rho: float, sigma1: int, phi0: float) -> list[Critical
 def is_resonant_rho(rho: float, tol: float = 1e-9) -> bool:
     """True when 1/rho is within tol of an even integer (the regime the
     large-x asymptotics exclude)."""
-    rho = _check_rho(rho)
+    rho = check_positive("rho", rho)
     inv = 1.0 / rho
     k = round(inv / 2.0)
     return k >= 1 and abs(inv - 2.0 * k) <= tol
@@ -236,7 +215,7 @@ class ClassificationRecord:
 
 def classify(rho: float) -> ClassificationRecord:
     """Enumerate every critical cell on phi in {0, pi/4, pi/2, 3pi/4, pi}."""
-    rho = _check_rho(rho)
+    rho = check_positive("rho", rho)
     qb = q_bound(rho)
     cells = {}
     for label, phi in _CLASSIFY_PHIS:

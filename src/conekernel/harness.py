@@ -19,15 +19,11 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .asymptotics import (
-    envelope_general,
-    envelope_interior,
-    principal_prediction,
-    select_pairing,
-)
+from ._checks import check_positive
+from .asymptotics import envelope_general, envelope_interior, principal_prediction
 from .critical_points import is_resonant_rho
 from .errors import DomainError, InputError
-from .kernel_series import _check_positive, _eval_grid
+from .kernel_series import _eval_grid
 from .spectrum import ConeParams
 
 __all__ = [
@@ -68,13 +64,11 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanTable:
-    """Scan results sorted by (phi, x).  pairing records the convention
-    used for predictions ("literal"/"algebraic") or None when no
-    predictions were requested or available."""
+    """Scan results sorted by (phi, x); rows carry predictions when the
+    scan was asked for them."""
 
     params: ConeParams
     rows: tuple
-    pairing: str | None = None
 
     def angles(self) -> list[float]:
         seen: list[float] = []
@@ -158,7 +152,6 @@ def scan(
     phi_grid,
     tol: float = 1e-10,
     with_prediction: bool = False,
-    pairing: str = "auto",
     workers: int = 1,
 ) -> ScanTable:
     """Evaluate the series on the product grid.  The x values go through
@@ -171,9 +164,10 @@ def scan(
     worker count).  When several x fail, the error raised may name another
     x than a per-x loop would: every truncation runs before any Bessel
     batch, so a CapacityError comes first, and Bessel batches run in
-    panel-count order.  Envelopes are computed once per x.  Predictions are
-    attached only at endpoint angles (within 1e-12 of 0 or pi) with
-    x >= 1, and only when 1/rho is not an even integer."""
+    panel-count order.  Envelopes are computed once per x.  With
+    `with_prediction`, rows at endpoint angles (within 1e-12 of 0 or pi)
+    with x >= 1 carry principal_prediction's sum of principal terms,
+    unless 1/rho is an even integer."""
     xs = [float(x) for x in x_grid]
     phis = [float(p) for p in phi_grid]
     if not xs or not phis:
@@ -188,16 +182,8 @@ def scan(
         raise InputError("scan grids must not contain duplicates")
     if not isinstance(workers, int) or workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers!r}")
-    tol = _check_positive("tol", tol)
-
+    tol = check_positive("tol", tol)
     predict = with_prediction and not is_resonant_rho(params.rho)
-    resolved: str | None = None
-    if predict and any(_endpoint_angle(p) is not None for p in phis):
-        if pairing == "auto":
-            endpoint = next(p for p in phis if _endpoint_angle(p) is not None)
-            resolved = select_pairing(params, _endpoint_angle(endpoint)).winner
-        else:
-            resolved = pairing
 
     if workers == 1 or len(xs) == 1:
         per_x = _scan_values(params, phis, tol, xs)
@@ -217,8 +203,8 @@ def scan(
         for i, x in enumerate(xs):
             value = per_x[i][j]
             prediction = None
-            if resolved is not None and endpoint is not None and x >= 1.0:
-                prediction = principal_prediction(params, endpoint, x, resolved)
+            if predict and endpoint is not None and x >= 1.0:
+                prediction = principal_prediction(params, endpoint, x)
             rows.append(
                 ScanRow(
                     x=x,
@@ -230,7 +216,7 @@ def scan(
                 )
             )
     rows.sort(key=lambda row: (row.phi, row.x))
-    return ScanTable(params=params, rows=tuple(rows), pairing=resolved)
+    return ScanTable(params=params, rows=tuple(rows))
 
 
 def _fmt(v: float) -> str:

@@ -23,6 +23,7 @@ from itertools import groupby
 import numpy as np
 
 from . import specfun
+from ._checks import check_angle, check_nonnegative_int, check_positive
 from .errors import CapacityError, DomainError
 from .specfun import (
     DEFAULT_TOL,
@@ -61,20 +62,6 @@ _SCREEN_SLACK = 1e-12
 _SCREEN_ELEMS = 1 << 18
 
 
-def _check_positive(name: str, v) -> float:
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-        raise DomainError(f"{name} must be a positive finite number, got {v!r}")
-    return float(v)
-
-
-def _check_angle(phi) -> float:
-    if not (isinstance(phi, (int, float)) and math.isfinite(phi)):
-        raise DomainError(f"phi must be a finite real number, got {phi!r}")
-    if not 0.0 <= phi <= math.pi:
-        raise DomainError(f"phi must lie in [0, pi], got {phi}")
-    return float(phi)
-
-
 @dataclass(frozen=True)
 class KernelPoint:
     """Spectral-variable point: x = r1 r2 / (2t) > 0 and angle phi in [0, pi]."""
@@ -83,8 +70,8 @@ class KernelPoint:
     phi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _check_positive("x", self.x))
-        object.__setattr__(self, "phi", _check_angle(self.phi))
+        object.__setattr__(self, "x", check_positive("x", self.x))
+        object.__setattr__(self, "phi", check_angle(self.phi))
 
 
 @dataclass(frozen=True)
@@ -97,10 +84,10 @@ class PhysicalPoint:
     phi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", _check_positive("t", self.t))
-        object.__setattr__(self, "r1", _check_positive("r1", self.r1))
-        object.__setattr__(self, "r2", _check_positive("r2", self.r2))
-        object.__setattr__(self, "phi", _check_angle(self.phi))
+        object.__setattr__(self, "t", check_positive("t", self.t))
+        object.__setattr__(self, "r1", check_positive("r1", self.r1))
+        object.__setattr__(self, "r2", check_positive("r2", self.r2))
+        object.__setattr__(self, "phi", check_angle(self.phi))
 
     def to_kernel_point(self) -> KernelPoint:
         return KernelPoint(x=self.r1 * self.r2 / (2.0 * self.t), phi=self.phi)
@@ -218,8 +205,8 @@ def _truncation(params: ConeParams, x: float, tol: float) -> tuple[int, float]:
 
 def truncation_index(params: ConeParams, x: float, tol: float) -> int:
     """Smallest M whose certified analytic tail bound beyond M is < tol."""
-    x = _check_positive("x", x)
-    tol = _check_positive("tol", tol)
+    x = check_positive("x", x)
+    tol = check_positive("tol", tol)
     return _truncation(params, x, tol)[0]
 
 
@@ -316,13 +303,13 @@ def eval_I_multi(
     the single-angle case of this path, so the two agree bitwise, and a
     scan evaluates every x through the same path.
     """
-    x = _check_positive("x", x)
-    tol = _check_positive("tol", tol)
-    phis = [_check_angle(p) for p in phis]
+    x = check_positive("x", x)
+    tol = check_positive("tol", tol)
+    phis = [check_angle(p) for p in phis]
     if not phis:
         raise DomainError("need at least one angle")
-    if terms is not None and (not isinstance(terms, (int, np.integer)) or terms < 0):
-        raise DomainError(f"terms must be a nonnegative integer, got {terms!r}")
+    if terms is not None:
+        terms = check_nonnegative_int("terms", terms)
     return _eval_grid(params, [x], phis, tol, terms)[0]
 
 

@@ -51,6 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import check_finite, check_nonnegative_int, check_positive
 from ._compensated import dd_add, dd_cis, dd_div, dd_mul, two_prod, two_sum
 from .errors import DomainError, PrecisionError
 
@@ -78,9 +79,7 @@ class Tolerance:
 
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive finite number, got {v!r}")
+            check_positive(name, getattr(self, name))
 
 
 DEFAULT_TOL = Tolerance()
@@ -104,15 +103,9 @@ _LANCZOS_COEFFS = (
 _LOG_SQRT_TWO_PI = 0.9189385332046727
 
 
-def _check_finite(name: str, v) -> float:
-    if not (isinstance(v, (int, float)) and math.isfinite(v)):
-        raise DomainError(f"{name} must be a finite real number, got {v!r}")
-    return float(v)
-
-
 def log_gamma(z: float) -> float:
     """log Gamma(z) for real z > 0 (Lanczos, relative error ~1e-14)."""
-    z = _check_finite("z", z)
+    z = check_finite("z", z)
     if z <= 0.0:
         raise DomainError(f"log_gamma requires z > 0, got {z}")
     if z < 0.5:
@@ -141,7 +134,7 @@ def _lanczos(z, log):
 def acos_unit(mu: float) -> float:
     """arccos on [0, 1] (range [0, pi/2]), stable against cancellation
     near mu = 1 via 2*asin(sqrt((1-mu)/2))."""
-    mu = _check_finite("mu", mu)
+    mu = check_finite("mu", mu)
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"acos_unit requires mu in [0, 1], got {mu}")
     return 2.0 * math.asin(math.sqrt(0.5 * (1.0 - mu)))
@@ -155,7 +148,7 @@ def h1(mu: float) -> float:
     sin t - t cos t = sum_{j>=1} (-1)^{j+1} t^{2j+1} (2j)/(2j+1)!
     in t = arccos(mu).
     """
-    mu = _check_finite("mu", mu)
+    mu = check_finite("mu", mu)
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"h1 requires mu in [0, 1], got {mu}")
     t = acos_unit(mu)
@@ -415,8 +408,8 @@ def bessel_j(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     Absolute error <= max(tol.abs_tol, tol.rel_tol * |J|); raises
     PrecisionError (carrying the achieved bound) when that cannot be met.
     """
-    nu = _check_finite("nu", nu)
-    x = _check_finite("x", x)
+    nu = check_finite("nu", nu)
+    x = check_finite("x", x)
     if nu < 0.0:
         raise DomainError(f"bessel_j requires nu >= 0, got {nu}")
     if x < 0.0:
@@ -435,7 +428,7 @@ def bessel_j_many(nus: np.ndarray, x: float, tol: Tolerance = DEFAULT_TOL) -> np
     share one panel grid (sized by the largest order) so series evaluation
     over many orders stays O(total nodes).
     """
-    x = _check_finite("x", x)
+    x = check_finite("x", x)
     if x < 0.0:
         raise DomainError(f"bessel_j_many requires x >= 0, got {x}")
     nus = np.asarray(nus, dtype=float)
@@ -460,19 +453,18 @@ def bessel_j_many(nus: np.ndarray, x: float, tol: Tolerance = DEFAULT_TOL) -> np
 # ---------------------------------------------------------------------------
 
 def _check_gegenbauer_args(m: int, d: float, t: float) -> tuple[int, float, float]:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"Gegenbauer degree must be a nonnegative integer, got {m!r}")
-    d = _check_finite("d", d)
+    m = check_nonnegative_int("Gegenbauer degree", m)
+    d = check_finite("d", d)
     if d <= 0.0:
         raise DomainError(f"Gegenbauer weight d must be positive, got {d}")
     if d > 10.0:
         # C_m^d(1) ~ m^{2d-1}/Gamma(2d): beyond d = 10 the endpoint values
         # overflow doubles long before useful degrees.
         raise DomainError(f"Gegenbauer weight d must be <= 10, got {d}")
-    t = _check_finite("t", t)
+    t = check_finite("t", t)
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"Gegenbauer argument must lie in [-1, 1], got {t}")
-    return int(m), d, t
+    return m, d, t
 
 
 def gegenbauer_c(m: int, d: float, t: float) -> float:

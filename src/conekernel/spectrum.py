@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_finite, check_nonnegative_int
 from .errors import DomainError
 
 __all__ = ["ConeParams", "nu", "nu_many", "nu_asymptotic_gap"]
@@ -23,8 +24,7 @@ __all__ = ["ConeParams", "nu", "nu_many", "nu_asymptotic_gap"]
 
 def _validate_common(rho: float, n: float, c: float) -> None:
     for name, v in (("rho", rho), ("n", n), ("c", c)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise DomainError(f"{name} must be a finite real number, got {v!r}")
+        check_finite(name, v)
     if rho <= 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     d = (n - 2.0) / 2.0
@@ -91,15 +91,9 @@ class ConeParams:
             raise DomainError(f"missing key in cone parameters: {exc}") from exc
 
 
-def _check_degree(m) -> float:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise DomainError(f"mode index m must be a nonnegative integer, got {m!r}")
-    return float(m)
-
-
 def nu(params: ConeParams, m: int) -> float:
     """Angular eigenvalue order nu_m = sqrt(m(m+2d)/rho^2 + d^2 + c)."""
-    fm = _check_degree(m)
+    fm = float(check_nonnegative_int("mode index m", m))
     d = params.d
     return math.sqrt(fm * (fm + 2.0 * d) / (params.rho * params.rho) + d * d + params.c)
 
@@ -120,7 +114,7 @@ def nu_asymptotic_gap(params: ConeParams, m: int) -> float:
     Since nu_m^2 - ((m+d)/rho)^2 = c + d^2 (1 - rho^{-2}) is constant in m,
     the gap is that constant over nu_m + (m+d)/rho, which decays like 1/m.
     """
-    fm = _check_degree(m)
+    fm = float(check_nonnegative_int("mode index m", m))
     if fm < 1:
         raise DomainError("nu_asymptotic_gap requires m >= 1")
     d = params.d

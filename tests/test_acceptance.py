@@ -26,7 +26,6 @@ from conekernel import (
     octave_maxima,
     principal_prediction,
     scan,
-    select_pairing,
 )
 
 THIRD = ConeParams(rho=1.0 / 3.0, n=3, c=0.0)
@@ -272,16 +271,10 @@ def test_criterion_6_interior_angles_bounded():
 # ---------------------------------------------------------------------------
 def test_criterion_7_principal_term_residual():
     start = time.monotonic()
-    diag = select_pairing(THIRD, 0.0)
     table = _cached_scan("third-diag", THIRD, make_grid(100.0, 2000.0, 600, "log"), (0.0,))
     rows = [r for r in table.rows_for_phi(0.0) if r.x >= 200.0]
     xs = np.array([r.x for r in rows])
-    residuals = np.array(
-        [
-            abs(r.value - principal_prediction(THIRD, 0.0, r.x, pairing=diag.winner))
-            for r in rows
-        ]
-    )
+    residuals = np.array([abs(r.value - principal_prediction(THIRD, 0.0, r.x)) for r in rows])
     mx, my = octave_maxima(xs, residuals, bins_per_octave=3)
     fit = fit_decay_exponent(mx, my)
 
@@ -289,7 +282,7 @@ def test_criterion_7_principal_term_residual():
     elapsed = time.monotonic() - start
     _report(
         7,
-        f"principal-term residual (pairing {diag.winner}, residual slope {fit.slope:+.4f})",
+        f"principal-term residual (residual slope {fit.slope:+.4f})",
         600.0,
         elapsed,
         [("residual-slope<=0.3", fit.slope <= 0.3)],

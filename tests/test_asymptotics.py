@@ -1,4 +1,4 @@
-"""Large-x principal terms, pairing selection, and decay envelopes.
+"""Large-x principal terms, their sign convention, and decay envelopes.
 
 Amplitude/phase literals are closed-form arithmetic double-checked by a
 40-digit reference run.
@@ -13,9 +13,9 @@ from conekernel import (
     DomainError,
     KernelPoint,
     PhysicalPoint,
+    PrincipalTerm,
     UnsupportedRegimeError,
-    PAIRINGS,
-    clear_pairing_cache,
+    conjugate_frequencies,
     dispersive_envelope,
     envelope_general,
     envelope_interior,
@@ -23,7 +23,6 @@ from conekernel import (
     eval_kernel,
     principal_prediction,
     principal_terms,
-    select_pairing,
 )
 
 THIRD = ConeParams(rho=1 / 3, n=3, c=0.0)
@@ -34,25 +33,48 @@ AMP_TWO_THIRDS = 0.76980035891950101935  # = 4 sqrt(3)/9
 SQRT3_OVER_2 = 0.86602540378443864676
 
 
+def literal_terms(params, phi0):
+    """Reference for the opposite sign convention, s1 = +sigma1, built
+    from the conjugate points with the phase constant recomputed."""
+    d = params.d
+    out = []
+    for sigma1 in (1, -1):
+        for datum in conjugate_frequencies(params.rho, sigma1, phi0):
+            out.append(
+                PrincipalTerm(
+                    amplitude=params.rho ** (2 * d + 1) * datum.mu0 ** (2 * d) / (d * math.gamma(2 * d)),
+                    frequency=datum.frequency,
+                    phase_constant=-sigma1 * (d / params.rho) * math.acos(datum.mu0)
+                    - math.pi * d / (2.0 * params.rho),
+                    sigma1=sigma1,
+                    mu0=datum.mu0,
+                )
+            )
+    return out
+
+
+def terms_sum(terms, d, x):
+    return sum(
+        t.amplitude * cmath.exp(1j * (t.sigma1 * t.frequency * x + t.phase_constant)) for t in terms
+    ) * x**d
+
+
 # ---------------------------------------------------------------------------
 # Principal terms.
 # ---------------------------------------------------------------------------
 def test_terms_third_radius_diagonal():
-    for pairing in PAIRINGS:
-        terms = principal_terms(THIRD, 0.0, pairing)
-        assert len(terms) == 1
-        (term,) = terms
-        assert term.amplitude == pytest.approx(AMP_THIRD, rel=1e-12)
-        assert term.frequency == pytest.approx(0.5, abs=1e-13)
-        assert term.mu0 == pytest.approx(SQRT3_OVER_2, abs=1e-13)
+    terms = principal_terms(THIRD, 0.0)
+    assert len(terms) == 1
+    (term,) = terms
+    assert term.amplitude == pytest.approx(AMP_THIRD, rel=1e-12)
+    assert term.frequency == pytest.approx(0.5, abs=1e-13)
+    assert term.mu0 == pytest.approx(SQRT3_OVER_2, abs=1e-13)
     # The two conventions assign opposite propagation directions.
-    s_alg = principal_terms(THIRD, 0.0, "algebraic")[0].sigma1
-    s_lit = principal_terms(THIRD, 0.0, "literal")[0].sigma1
-    assert s_alg == -s_lit
+    assert term.sigma1 == -literal_terms(THIRD, 0.0)[0].sigma1
 
 
 def test_terms_two_thirds_antipodal():
-    terms = principal_terms(TWO_THIRDS, math.pi, "algebraic")
+    terms = principal_terms(TWO_THIRDS, math.pi)
     assert len(terms) == 1
     (term,) = terms
     assert term.amplitude == pytest.approx(AMP_TWO_THIRDS, rel=1e-12)
@@ -62,40 +84,42 @@ def test_terms_two_thirds_antipodal():
 def test_term_fields_satisfy_their_formulas():
     # Multi-point case: rho = 0.13 has three conjugate points at phi0 = 0.
     params = ConeParams(rho=0.13, n=3, c=0.0)
-    for pairing in PAIRINGS:
-        terms = principal_terms(params, 0.0, pairing)
-        assert len(terms) == 3
-        d = params.d
-        gamma_2d = math.gamma(2.0 * d)
-        for term in terms:
-            assert term.amplitude == pytest.approx(
-                params.rho ** (2 * d + 1) * term.mu0 ** (2 * d) / (d * gamma_2d),
-                rel=1e-12,
-            )
-            assert term.frequency == pytest.approx(math.sqrt(1 - term.mu0 ** 2), rel=1e-12)
-            assert term.phase_constant == pytest.approx(
-                -term.sigma1 * (d / params.rho) * math.acos(term.mu0)
-                - math.pi * d / (2.0 * params.rho),
-                rel=1e-12,
-            )
+    terms = principal_terms(params, 0.0)
+    assert len(terms) == 3
+    d = params.d
+    gamma_2d = math.gamma(2.0 * d)
+    for term in terms:
+        assert term.amplitude == pytest.approx(
+            params.rho ** (2 * d + 1) * term.mu0 ** (2 * d) / (d * gamma_2d),
+            rel=1e-12,
+        )
+        assert term.frequency == pytest.approx(math.sqrt(1 - term.mu0 ** 2), rel=1e-12)
+        assert term.phase_constant == pytest.approx(
+            -term.sigma1 * (d / params.rho) * math.acos(term.mu0)
+            - math.pi * d / (2.0 * params.rho),
+            rel=1e-12,
+        )
 
 
 def test_terms_pairing_invariant_content():
     # Frequencies, amplitudes, and source points do not depend on the
-    # pairing convention; only the sign bookkeeping does.
+    # sign convention; only the sign carried into the exponent does.
     for params, phi0 in ((THIRD, 0.0), (TWO_THIRDS, math.pi), (ConeParams(rho=0.13, n=3, c=0.0), 0.0)):
-        content = {
-            p: sorted((t.amplitude, t.frequency, t.mu0) for t in principal_terms(params, phi0, p))
-            for p in PAIRINGS
-        }
-        assert content["literal"] == pytest.approx(content["algebraic"], rel=1e-14)
+        fixed = principal_terms(params, phi0)
+        literal = literal_terms(params, phi0)
+        content = [
+            [v for t in sorted(terms, key=lambda t: t.mu0) for v in (t.amplitude, t.frequency, t.mu0)]
+            for terms in (fixed, literal)
+        ]
+        assert content[0] == pytest.approx(content[1], rel=1e-14)
+        assert sorted((t.mu0, -t.sigma1) for t in fixed) == sorted((t.mu0, t.sigma1) for t in literal)
 
 
 def test_terms_empty_at_large_radius():
     for rho in (1.0, 1.5, 2.0):
         params = ConeParams(rho=rho, n=3, c=0.0)
         assert principal_terms(params, 0.0) == []
-        assert principal_prediction(params, 0.0, 100.0, pairing="algebraic") == 0j
+        assert principal_prediction(params, 0.0, 100.0) == 0j
 
 
 def test_resonant_radius_is_refused():
@@ -104,21 +128,21 @@ def test_resonant_radius_is_refused():
         with pytest.raises(UnsupportedRegimeError):
             principal_terms(params, 0.0)
         with pytest.raises(UnsupportedRegimeError):
-            principal_prediction(params, 0.0, 10.0, pairing="algebraic")
+            principal_prediction(params, 0.0, 10.0)
 
 
 def test_prediction_requires_unit_or_larger_argument():
     with pytest.raises(DomainError):
-        principal_prediction(THIRD, 0.0, 0.5, pairing="algebraic")
+        principal_prediction(THIRD, 0.0, 0.5)
 
 
 def test_prediction_closed_form_third_radius():
-    # Algebraic pairing at rho = 1/3, phi0 = 0:
+    # At rho = 1/3, phi0 = 0:
     # P(x) = (sqrt(3)/9) exp(i(x sin(pi/6) - pi)) sqrt(x).
     freq = math.sin(math.pi / 6.0)
     for x in (1.0, 37.5, 400.0, 1999.0):
         expected = AMP_THIRD * cmath.exp(1j * (freq * x - math.pi)) * math.sqrt(x)
-        got = principal_prediction(THIRD, 0.0, x, pairing="algebraic")
+        got = principal_prediction(THIRD, 0.0, x)
         assert got == pytest.approx(expected, rel=1e-11)
 
 
@@ -126,47 +150,37 @@ def test_prediction_triangle_inequality():
     params = ConeParams(rho=0.13, n=3, c=0.0)
     total_amp = sum(t.amplitude for t in principal_terms(params, 0.0))
     for x in (1.0, 10.0, 250.0):
-        for pairing in PAIRINGS:
-            assert abs(principal_prediction(params, 0.0, x, pairing=pairing)) <= total_amp * math.sqrt(x) * (
-                1.0 + 1e-12
-            )
+        for pred in (principal_prediction(params, 0.0, x), terms_sum(literal_terms(params, 0.0), params.d, x)):
+            assert abs(pred) <= total_amp * math.sqrt(x) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Measured pairing selection.
+# The measurement that fixes the sign convention.
 # ---------------------------------------------------------------------------
-def test_pairing_selection_third_radius():
-    clear_pairing_cache()
-    diag = select_pairing(THIRD, 0.0)
-    assert diag.winner == "algebraic"
-    assert diag.rms_residual["algebraic"] < 0.2
-    assert diag.rms_residual["literal"] > 1.0
-    # Cached: an identical query returns the identical object.
-    assert select_pairing(THIRD, 0.0) is diag
-    clear_pairing_cache()
-    assert select_pairing(THIRD, 0.0) is not diag
-
-
-def test_pairing_selection_two_thirds_antipodal():
-    diag = select_pairing(TWO_THIRDS, math.pi)
-    assert diag.winner == "algebraic"
-    assert diag.rms_residual["algebraic"] < 0.2
-    assert diag.rms_residual["literal"] > 1.0
-
-
-def test_pairing_probe_validation():
-    with pytest.raises(DomainError):
-        select_pairing(THIRD, 0.0, probe_xs=(0.5, 100.0))
-    with pytest.raises(DomainError):
-        select_pairing(THIRD, 0.0, probe_xs=())
+@pytest.mark.parametrize(
+    "rho, phi0", [(1 / 3, 0.0), (2 / 3, math.pi), (0.13, 0.0), (0.46, 0.0)]
+)
+def test_fixed_convention_beats_literal(rho, phi0):
+    # Over x = 500..2000 the fixed convention's residual against the
+    # series is at least 10x smaller than the literal one's (22x at
+    # worst, at rho = 0.46).
+    params = ConeParams(rho=rho, n=3, c=0.0)
+    literal = literal_terms(params, phi0)
+    assert literal
+    sq_fixed = sq_literal = 0.0
+    for x in (500.0, 900.0, 1400.0, 2000.0):
+        value = eval_I(params, KernelPoint(x=x, phi=phi0)).value
+        sq_fixed += abs(value - principal_prediction(params, phi0, x)) ** 2
+        sq_literal += abs(value - terms_sum(literal, params.d, x)) ** 2
+    assert math.sqrt(sq_literal) >= 10.0 * math.sqrt(sq_fixed)
 
 
 def test_auto_prediction_tracks_series():
-    # The winning prediction should sit within O(1) of the series while the
+    # The prediction should sit within O(1) of the series while the
     # series itself grows like sqrt(x).
     x = 1500.0
     series = eval_I(THIRD, KernelPoint(x=x, phi=0.0)).value
-    pred = principal_prediction(THIRD, 0.0, x, pairing="auto")
+    pred = principal_prediction(THIRD, 0.0, x)
     assert abs(series - pred) < 1.0
     assert abs(series) > 5.0
 

@@ -183,7 +183,7 @@ SCAN_ARGS = (
     "--rho", "1.5", "--n", "3", "--c", "0",
     "--x-min", "0.5", "--x-max", "8", "--x-count", "4",
     "--phi", "0,pi/2,pi",
-    "--with-prediction", "--pairing", "algebraic",
+    "--with-prediction",
 )
 
 
@@ -359,6 +359,26 @@ def test_verify_config_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["report"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"phis": "0,pi"}',
+        '{"phis": 5}',
+        '{"x_count": "ten"}',
+        '{"x_count": 2.7}',
+        '{"n": 3.9}',
+        '{"tol": true}',
+        '{"rho": 0.5,',
+    ],
+)
+def test_verify_malformed_config_exits_two(capsys, tmp_path, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_verify_flat_space_preset_passes(capsys):

@@ -18,6 +18,7 @@ from conekernel import (
     fit_decay_exponent,
     make_grid,
     octave_maxima,
+    principal_prediction,
     scan,
     verify_bound,
     write_csv,
@@ -210,11 +211,7 @@ def test_scan_deterministic_across_workers():
 
 def test_scan_predictions_zero_for_large_radius():
     params = ConeParams(rho=1.5, n=3, c=0.0)
-    table = scan(
-        params, [1.0, 10.0], [0.0, math.pi / 2, math.pi],
-        tol=1e-10, with_prediction=True, pairing="algebraic",
-    )
-    assert table.pairing == "algebraic"
+    table = scan(params, [1.0, 10.0], [0.0, math.pi / 2, math.pi], tol=1e-10, with_prediction=True)
     for row in table.rows:
         if row.phi in (0.0, math.pi):
             assert row.prediction == 0j
@@ -222,16 +219,24 @@ def test_scan_predictions_zero_for_large_radius():
             assert row.prediction is None
 
 
+def test_scan_predictions_at_both_endpoints():
+    # At rho = 2/3 only the antipodal angle has a conjugate point.
+    params = ConeParams(rho=2 / 3, n=3, c=0.0)
+    table = scan(params, [50.0, 100.0], [0.0, math.pi], tol=1e-10, with_prediction=True)
+    for row in table.rows:
+        assert row.prediction == principal_prediction(params, row.phi, row.x)
+        assert (row.prediction != 0j) == (row.phi == math.pi)
+
+
 def test_scan_predictions_skipped_for_resonant_radius():
     params = ConeParams(rho=0.5, n=3, c=0.0)
     table = scan(params, [2.0], [0.0], tol=1e-10, with_prediction=True)
-    assert table.pairing is None
     assert table.rows[0].prediction is None
 
 
 def test_scan_prediction_below_unit_argument_absent():
     params = ConeParams(rho=1.5, n=3, c=0.0)
-    table = scan(params, [0.5, 2.0], [0.0], tol=1e-10, with_prediction=True, pairing="algebraic")
+    table = scan(params, [0.5, 2.0], [0.0], tol=1e-10, with_prediction=True)
     by_x = {row.x: row for row in table.rows}
     assert by_x[0.5].prediction is None
     assert by_x[2.0].prediction == 0j
@@ -254,7 +259,7 @@ def test_scan_validation():
 # ---------------------------------------------------------------------------
 def test_csv_shape_and_precision(tmp_path):
     params = ConeParams(rho=1.5, n=3, c=0.0)
-    table = scan(params, [1.0, 3.0], [0.0, 1.0], tol=1e-10, with_prediction=True, pairing="algebraic")
+    table = scan(params, [1.0, 3.0], [0.0, 1.0], tol=1e-10, with_prediction=True)
     lines = csv_lines(table)
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 4
