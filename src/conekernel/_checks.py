@@ -1,7 +1,8 @@
 """Argument validators shared across the package: one per kind of argument.
 
 Each returns the normalized value or raises DomainError.  Booleans are
-not numbers here, although Python counts them as integers.
+not numbers here, although Python counts them as integers; is_real is the
+test, for callers that raise another error type.
 """
 
 from __future__ import annotations
@@ -12,18 +13,18 @@ import numbers
 from .errors import DomainError
 
 
-def _is_real(v) -> bool:
+def is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def check_finite(name: str, v) -> float:
-    if not (_is_real(v) and math.isfinite(v)):
+    if not (is_real(v) and math.isfinite(v)):
         raise DomainError(f"{name} must be a finite real number, got {v!r}")
     return float(v)
 
 
 def check_positive(name: str, v) -> float:
-    if not (_is_real(v) and math.isfinite(v) and v > 0):
+    if not (is_real(v) and math.isfinite(v) and v > 0):
         raise DomainError(f"{name} must be a positive finite number, got {v!r}")
     return float(v)
 
@@ -41,6 +42,12 @@ def check_endpoint_angle(phi0) -> float:
     if phi0 == math.pi:
         return math.pi
     raise DomainError(f"phi0 must be exactly 0 or pi, got {phi0!r}")
+
+
+def check_sign(name: str, v) -> int:
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and v in (1, -1)):
+        raise DomainError(f"{name} must be +1 or -1, got {v!r}")
+    return int(v)
 
 
 def check_nonnegative_int(name: str, v) -> int:

@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._checks import check_endpoint_angle, check_positive
+from ._checks import check_endpoint_angle, check_positive, is_real
 from .critical_points import conjugate_frequencies, is_resonant_rho
 from .errors import DomainError, UnsupportedRegimeError
 from .kernel_series import PhysicalPoint, kappa
@@ -98,15 +98,20 @@ def principal_terms(params: ConeParams, phi0: float) -> list[PrincipalTerm]:
 
 def principal_prediction(params: ConeParams, phi0: float, x: float) -> complex:
     """Sum of principal terms at argument x >= 1."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 1.0):
+    if not (is_real(x) and math.isfinite(x) and x >= 1.0):
         raise DomainError(f"prediction requires x >= 1, got {x!r}")
-    x = float(x)
+    return _principal_sum(principal_terms(params, phi0), params.d, float(x))
+
+
+def _principal_sum(terms: list[PrincipalTerm], d: float, x: float) -> complex:
+    """The sum of `terms` at x, in their order: principal_prediction's
+    arithmetic, for a caller that builds the terms once for many x."""
     total = 0j
-    for term in principal_terms(params, phi0):
+    for term in terms:
         total += term.amplitude * cmath.exp(
             1j * (term.sigma1 * term.frequency * x + term.phase_constant)
         )
-    return total * x**params.d
+    return total * x**d
 
 
 def envelope_interior(params: ConeParams, x: float) -> float:

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._checks import check_angle, check_endpoint_angle, check_positive
+from ._checks import check_angle, check_endpoint_angle, check_positive, check_sign
 from .errors import DomainError
 from .specfun import acos_unit
 
@@ -45,12 +45,6 @@ BOUNDARY_SLACK = 1e-13
 _HALF_PI = 0.5 * math.pi
 
 
-def _check_sign(name: str, v) -> int:
-    if v not in (1, -1):
-        raise DomainError(f"{name} must be +1 or -1, got {v!r}")
-    return int(v)
-
-
 @dataclass(frozen=True)
 class BranchLabel:
     """Branch signs and winding: sigma1, sigma2 in {+1, -1}, integer q."""
@@ -60,8 +54,8 @@ class BranchLabel:
     q: int
 
     def __post_init__(self) -> None:
-        _check_sign("sigma1", self.sigma1)
-        _check_sign("sigma2", self.sigma2)
+        check_sign("sigma1", self.sigma1)
+        check_sign("sigma2", self.sigma2)
         if not isinstance(self.q, int) or isinstance(self.q, bool):
             raise DomainError(f"q must be an integer, got {self.q!r}")
 
@@ -122,8 +116,8 @@ def critical_set(rho: float, branch: BranchLabel, phi: float) -> list[CriticalDa
 
 def critical_set_union(rho: float, sigma1: int, sigma2: int, phi: float) -> list[CriticalDatum]:
     """Union of critical_set over all windings |q| <= Q(rho), sorted by mu0."""
-    sigma1 = _check_sign("sigma1", sigma1)
-    sigma2 = _check_sign("sigma2", sigma2)
+    sigma1 = check_sign("sigma1", sigma1)
+    sigma2 = check_sign("sigma2", sigma2)
     out: list[CriticalDatum] = []
     for q in range(-q_bound(rho), q_bound(rho) + 1):
         out.extend(critical_set(rho, BranchLabel(sigma1, sigma2, q), phi))
@@ -135,7 +129,7 @@ def conjugate_frequencies(rho: float, sigma1: int, phi0: float) -> list[Critical
     """The conjugate-point set D_{rho,sigma1}(phi0) over mu in the OPEN
     interval (0, 1); endpoint hits within slack are excluded."""
     rho = check_positive("rho", rho)
-    sigma1 = _check_sign("sigma1", sigma1)
+    sigma1 = check_sign("sigma1", sigma1)
     phi0 = check_endpoint_angle(phi0)
     out: list[CriticalDatum] = []
     for q in range(-q_bound(rho), q_bound(rho) + 1):

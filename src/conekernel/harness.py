@@ -19,11 +19,11 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from ._checks import check_positive
-from .asymptotics import envelope_general, envelope_interior, principal_prediction
+from ._checks import check_positive, is_real
+from .asymptotics import envelope_general, envelope_interior, _principal_sum, principal_terms
 from .critical_points import is_resonant_rho
 from .errors import DomainError, InputError
-from .kernel_series import _eval_grid
+from .kernel_series import _eval_grid, _scan_groups, _truncations
 from .spectrum import ConeParams
 
 __all__ = [
@@ -123,9 +123,9 @@ class BoundReport:
 
 def make_grid(lo: float, hi: float, count: int, spacing: str = "log") -> np.ndarray:
     """Monotone evaluation grid: "log" (geometric) or "linear"."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+    if not (is_real(lo) and is_real(hi) and math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise InputError(f"grid needs finite 0 < lo < hi, got lo={lo}, hi={hi}")
-    if not isinstance(count, int) or count < 2:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 2:
         raise InputError(f"grid count must be an integer >= 2, got {count!r}")
     if spacing == "log":
         return np.geomspace(lo, hi, count)
@@ -142,8 +142,9 @@ def _endpoint_angle(phi: float) -> float | None:
     return None
 
 
-def _scan_values(params: ConeParams, phis: list[float], tol: float, xs: list[float]):
-    return [[res.value for res in per_phi] for per_phi in _eval_grid(params, xs, phis, tol)]
+def _scan_values(params: ConeParams, phis: list[float], tol: float, xs: list[float], truncated=None):
+    grid = _eval_grid(params, xs, phis, tol, truncated=truncated)
+    return [[res.value for res in per_phi] for per_phi in grid]
 
 
 def scan(
@@ -155,19 +156,26 @@ def scan(
     workers: int = 1,
 ) -> ScanTable:
     """Evaluate the series on the product grid.  The x values go through
-    one grid evaluation, which forms what does not depend on x once (the
-    truncation screen, the nu ladder, one Gegenbauer row per angle, the
-    Bessel quadrature faces per panel count) and shares each x's Bessel
-    batch across all angles; every value is bitwise the one eval_I_multi
-    gives at that x.  With `workers` > 1, contiguous chunks of the x grid
-    are evaluated in that many processes (results are identical for any
-    worker count).  When several x fail, the error raised may name another
-    x than a per-x loop would: every truncation runs before any Bessel
-    batch, so a CapacityError comes first, and Bessel batches run in
-    panel-count order.  Envelopes are computed once per x.  With
+    one grid evaluation, kernel_series._eval_grid: what does not depend on
+    x is formed once (the truncation screen, the nu ladder, one Gegenbauer
+    row per angle) and each x's Bessel work is shared by all angles.
+    Dense runs of x that need only quadrature orders are banded: one band
+    quadrature sums the series inside the Schlaefli integral for the whole
+    run.  A value outside a band is bitwise the one eval_I_multi gives at
+    that x; a value inside one differs from it by at most a few
+    eps * sum_{m < N_b} |a_m| * x^{-d} (a_m = ((m+d)/d) max_phi |C_m^d(cos phi)|,
+    N_b the band's order count).  Values are identical for any worker count
+    and any order of the x grid, because bands are formed on the sorted
+    grid.  With `workers` > 1 the truncations are searched here, and
+    contiguous chunks of whole runs of the sorted grid are evaluated in
+    that many processes.  When several x fail, the error raised may name
+    another x than a per-x loop would: every truncation runs before any
+    Bessel work, so a CapacityError comes first, and Bessel work runs in
+    ascending x.  Envelopes are computed once per x.  With
     `with_prediction`, rows at endpoint angles (within 1e-12 of 0 or pi)
-    with x >= 1 carry principal_prediction's sum of principal terms,
-    unless 1/rho is an even integer."""
+    with x >= 1 carry the sum of principal terms that principal_prediction
+    gives, with the terms built once per angle, unless 1/rho is an even
+    integer."""
     xs = [float(x) for x in x_grid]
     phis = [float(p) for p in phi_grid]
     if not xs or not phis:
@@ -188,28 +196,40 @@ def scan(
     if workers == 1 or len(xs) == 1:
         per_x = _scan_values(params, phis, tol, xs)
     else:
-        # contiguous chunks keep neighbouring x, which share the most, together
-        n_chunks = min(len(xs), 4 * workers)
-        cuts = [len(xs) * k // n_chunks for k in range(n_chunks + 1)]
-        chunks = [xs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-        with get_context("fork").Pool(processes=min(workers, len(xs))) as pool:
-            parts = pool.map(partial(_scan_values, params, phis, tol), chunks, chunksize=1)
-        per_x = [values for part in parts for values in part]
+        truncated = _truncations(params, xs, tol)
+        runs = _scan_groups(params, xs, phis, truncated)
+        # contiguous chunks of whole runs, about 4 per worker, keep
+        # neighbouring x together and every band in one process
+        size = -(-len(xs) // (4 * workers))
+        chunks = [[]]
+        for run in runs:
+            if len(chunks[-1]) >= size:
+                chunks.append([])
+            chunks[-1].extend(run)
+        tasks = [([xs[i] for i in chunk], [truncated[i] for i in chunk]) for chunk in chunks]
+        with get_context("fork").Pool(processes=min(workers, len(chunks))) as pool:
+            parts = pool.starmap(partial(_scan_values, params, phis, tol), tasks, chunksize=1)
+        per_x = [None] * len(xs)
+        for chunk, part in zip(chunks, parts):
+            for i, values in zip(chunk, part):
+                per_x[i] = values
 
     envelopes = [(envelope_interior(params, x), envelope_general(params, x)) for x in xs]
     rows: list[ScanRow] = []
     for j, phi in enumerate(phis):
         endpoint = _endpoint_angle(phi)
+        terms = None
+        if predict and endpoint is not None and max(xs) >= 1.0:
+            terms = principal_terms(params, endpoint)
         for i, x in enumerate(xs):
-            value = per_x[i][j]
             prediction = None
-            if predict and endpoint is not None and x >= 1.0:
-                prediction = principal_prediction(params, endpoint, x)
+            if terms is not None and x >= 1.0:
+                prediction = _principal_sum(terms, params.d, x)
             rows.append(
                 ScanRow(
                     x=x,
                     phi=phi,
-                    value=value,
+                    value=per_x[i][j],
                     env_interior=envelopes[i][0],
                     env_general=envelopes[i][1],
                     prediction=prediction,

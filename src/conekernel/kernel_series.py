@@ -12,13 +12,23 @@ evaluated by certified truncation: the analytic tail majorant
 is driven below the requested tolerance with a geometric-ratio closure.
 The physical propagator kernel at time t and radii r1, r2 is a prefactor
 times I(r1 r2 / (2t), phi).
+
+Every evaluation goes through one grid path, _eval_grid, which forms what
+does not depend on x once per grid.  A one-x call (eval_I, eval_I_multi)
+computes J_{nu_m}(x) order by order and sums the products exactly
+rounded.  On a dense grid, runs of x whose orders all lie in the Bessel
+quadrature region are banded: the m-sum is taken inside the Schlaefli
+integral once per run (specfun._bessel_quad_band), the functional-calculus
+form of cone kernels (Cheeger & Taylor, CPAM 35, 1982).  A band value
+differs from the one-x value by a few eps * sum_{m < N_b} |a_m| x^{-d},
+|a_m| = ((m+d)/d) max_phi |C_m^d(cos phi)|, and bands are sized so that
+this scale stays within 1.25 times each x's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -60,6 +70,9 @@ _BLOCK_LAST = 1 << 15
 _SCREEN_SLACK = 1e-12
 # Largest (x values x candidate indices) array of one screen pass (2 MB).
 _SCREEN_ELEMS = 1 << 18
+# A band's rounding scale eps * sum_{m < N_b} |a_m| may exceed each
+# member's own eps * sum_{m <= M(x)} |a_m| by at most this factor (_groups).
+_BAND_GROWTH = 1.25
 
 
 @dataclass(frozen=True)
@@ -210,82 +223,133 @@ def truncation_index(params: ConeParams, x: float, tol: float) -> int:
     return _truncation(params, x, tol)[0]
 
 
+def _ladder(params: ConeParams, m_max: int, phis):
+    """nu_m, the phase e^{-i pi nu_m/2} as (cos, sin), the weight (m+d)/d
+    and one Gegenbauer row per angle, for m = 0..m_max.  Each entry is an
+    elementwise or sequential prefix computation, so a longer ladder,
+    sliced, is bitwise the shorter one."""
+    d = params.d
+    ms = np.arange(m_max + 1)
+    nus = nu_many(params, ms)
+    # e^{-i pi nu/2}: reduce nu mod 4 exactly first (fmod is exact).
+    angles = -0.5 * math.pi * np.mod(nus, 4.0)
+    weight = (ms + d) / d
+    cgs = [gegenbauer_all(m_max, d, math.cos(phi)) for phi in phis]
+    return nus, (np.cos(angles), np.sin(angles)), weight, cgs
+
+
+def _groups(xs, truncated, nus, weight, cgs) -> list[list[int]]:
+    """The x of a grid, as indices in ascending x, cut into runs that may
+    share one band quadrature over the orders [0, N_b), N_b = max M(x) + 1.
+    A run grows while all three hold for every member:
+      * its rounding scale eps * sum_{m < N_b} |a_m| stays within
+        _BAND_GROWTH of its own eps * sum_{m <= M(x)} |a_m|, with
+        |a_m| = ((m+d)/d) max_phi |C_m^d(cos phi)|;
+      * every order below N_b is a quadrature order at the run's smallest
+        x, x > max(12, nu/2);
+      * its quadrature precision needs no relative floor,
+        _quad_achieved(x) <= abs_tol.
+    An x with series orders, or past that precision, is a run of its own.
+    Every test reads only the sorted x, their truncations and prefixes of
+    the ladder, so any union of whole runs, grouped again, gives the same
+    runs."""
+    scale = np.cumsum(weight * np.max(np.abs(cgs), axis=0))
+    abs_tol = DEFAULT_TOL.abs_tol
+    runs: list[list[int]] = []
+    x_lo = None
+    for i in sorted(range(len(xs)), key=xs.__getitem__):
+        x = xs[i]
+        m_top = truncated[i][0]
+        eligible = x > max(12.0, 0.5 * nus[m_top]) and specfun._quad_achieved(x) <= abs_tol
+        if eligible and x_lo is not None:
+            n_new = max(n_band, m_top + 1)
+            s_new = min(s_low, scale[m_top])
+            if scale[n_new - 1] <= _BAND_GROWTH * s_new and x_lo > max(12.0, 0.5 * nus[n_new - 1]):
+                runs[-1].append(i)
+                n_band, s_low = n_new, s_new
+                continue
+        runs.append([i])
+        x_lo = x if eligible else None
+        n_band, s_low = m_top + 1, scale[m_top]
+    return runs
+
+
+def _scan_groups(params: ConeParams, xs, phis, truncated) -> list[list[int]]:
+    """_groups of a grid whose truncations are known."""
+    nus, _, weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
+    return _groups(xs, truncated, nus, weight, cgs)
+
+
 def _eval_grid(
     params: ConeParams,
     xs,
     phis,
     tol: float,
     terms: int | None = None,
+    truncated=None,
 ) -> list[list[SeriesResult]]:
-    """The series at every x of xs and every angle of phis, unvalidated:
-    per x, the list eval_I_multi(params, x, phis, tol, terms) returns,
-    bitwise.  What does not depend on x is formed once: the truncation
-    screen, the nu ladder and its phases up to the largest M, one
-    Gegenbauer row per angle, and the quadrature faces per panel count.
-    Each x uses a prefix of these; every one is an elementwise or
-    sequential prefix computation, so the slices equal what a one-x
-    evaluation forms.  The x values are visited grouped by panel count so
-    only one count's faces are held at a time."""
-    if terms is None:
+    """The series at every x of xs and every angle of phis, unvalidated,
+    as one list of per-angle results per x.  What does not depend on x is
+    formed once: the truncation screen (skipped when `truncated` gives each
+    x's (M, tail bound)), the nu ladder and its phases up to the largest M,
+    and one Gegenbauer row per angle.
+
+    The x are visited in ascending order, in the runs of _groups.  A run
+    of more than 2 x per angle is a band: its values come from one band
+    quadrature, specfun._bessel_quad_band, of the coefficients
+    a_m(phi) e^{-i pi nu_m/2} over the orders [0, N_b); each reports
+    terms_used = N_b and keeps its own tail bound, which also covers the
+    tail beyond N_b - 1.  A band value differs from the per-x one by at
+    most a few eps * sum_{m < N_b} |a_m| * x^{-d}.  Every other x is
+    evaluated alone, and is bitwise eval_I_multi(params, x, phis, tol,
+    terms); a one-x call is always such an x."""
+    if truncated is None and terms is None:
         truncated = _truncations(params, xs, tol)
-    else:
-        m_top = int(terms)
-        certified = [_certify_tail(params, x, m_top, tol) for x in xs]
-        truncated = [(m_top, math.inf if c is None else c) for c in certified]
-    m_max = max(m for m, _ in truncated)
-
-    d = params.d
-    ms = np.arange(m_max + 1)
-    nus = nu_many(params, ms)
-    # e^{-i pi nu/2}: reduce nu mod 4 exactly first (fmod is exact).
-    angles = -0.5 * math.pi * np.mod(nus, 4.0)
-    phase_re = np.cos(angles)
-    phase_im = np.sin(angles)
-    weight = (ms + d) / d
-    cgs = [gegenbauer_all(m_max, d, math.cos(phi)) for phi in phis]
-
-    # nu_m increases with m, so each x's quadrature orders (x > max(12,
-    # nu/2), as in bessel_j_many) are a prefix of the ladder: its length
-    # and the panel count it implies
-    quad = []
-    for x, (m_top, _) in zip(xs, truncated):
-        n_quad = int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[: m_top + 1])))
-        n_panels = specfun._panel_count(float(nus[n_quad - 1]), x) if n_quad else 0
-        quad.append((n_panels, n_quad))
+    elif truncated is None:
+        certified = [_certify_tail(params, x, int(terms), tol) for x in xs]
+        truncated = [(int(terms), math.inf if c is None else c) for c in certified]
+    nus, (phase_re, phase_im), weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
+    scales = [x ** (-params.d) for x in xs]
 
     results: list = [None] * len(xs)
-    order = sorted(range(len(xs)), key=lambda i: quad[i][0])
-    for _, group in groupby(order, key=lambda i: quad[i][0]):
-        group = list(group)
-        longest = max(quad[i][1] for i in group)
-        # a lone x on its panel count forms its faces chunk by chunk, as a
-        # one-x batch does, so scans that share nothing hold nothing extra
-        n_panels = quad[group[0]][0]
-        faces = specfun._quad_faces(nus[:longest], n_panels) if longest and len(group) > 1 else None
-        for i in group:
+    for run in _groups(xs, truncated, nus, weight, cgs):
+        if len(run) > 2 * len(phis):
+            n_terms = max(truncated[i][0] for i in run) + 1
+            a = weight[:n_terms] * np.array(cgs)[:, :n_terms]
+            # rows 2j and 2j + 1: the real and imaginary coefficients of angle j
+            coef = np.stack((a * phase_re[:n_terms], a * phase_im[:n_terms]), axis=1)
+            sums = specfun._bessel_quad_band(
+                nus[:n_terms], coef.reshape(-1, n_terms), np.array([xs[i] for i in run])
+            )
+            for i, row in zip(run, sums.tolist()):
+                s = scales[i]
+                results[i] = [
+                    SeriesResult(
+                        value=complex(s * re, s * im), terms_used=n_terms, tail_bound=truncated[i][1]
+                    )
+                    for re, im in zip(row[::2], row[1::2])
+                ]
+            continue
+        for i in run:
             x = xs[i]
             m_top, tail = truncated[i]
             n_terms = m_top + 1
-            n_quad = quad[i][1]
+            # nu_m increases with m, so the quadrature orders (x > max(12,
+            # nu/2), as in bessel_j) are a prefix of the ladder
+            n_quad = int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[:n_terms])))
             js = np.empty(n_terms)
             for m in range(n_quad, n_terms):
                 js[m] = specfun._bessel_series(float(nus[m]), x, DEFAULT_TOL)
             if n_quad:
-                js[:n_quad] = specfun._bessel_quad_batch(
-                    nus[:n_quad],
-                    x,
-                    DEFAULT_TOL,
-                    faces=None if faces is None else tuple(f[:n_quad] for f in faces),
-                )
+                js[:n_quad] = specfun._bessel_quad_batch(nus[:n_quad], x, DEFAULT_TOL)
             amp = js * weight[:n_terms]
-            scale = x ** (-d)
             out = []
             for cg in cgs:
                 a = amp * cg[:n_terms]
                 # fsum is correctly rounded: no accumulation error beyond the products
                 re = math.fsum((a * phase_re[:n_terms]).tolist())
                 im = math.fsum((a * phase_im[:n_terms]).tolist())
-                value = complex(scale * re, scale * im)
+                value = complex(scales[i] * re, scales[i] * im)
                 out.append(SeriesResult(value=value, terms_used=n_terms, tail_bound=tail))
             results[i] = out
     return results

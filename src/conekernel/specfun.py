@@ -24,14 +24,6 @@ Bessel evaluation strategy
   becomes one complex matrix product followed by weighted sums over q and
   k; no (orders x panels) trig array is formed.
 
-  The faces depend on the orders and the panel count only, never on x,
-  and each entry on one order alone.  A scan therefore forms them once
-  per panel count, for the longest ladder prefix any of its x needs on
-  that count (``_quad_faces``), and hands each x's batch the rows of its
-  own prefix: the same numbers a one-x batch forms chunk by chunk.  What
-  does depend on x (the node matrix e^{-i x sin t}, the matrix product,
-  the contractions and the non-oscillatory part) is formed per batch.
-
   Error model.  Every face phase nu*s is an exact double-double product;
   libm reduces its high part exactly and the low part enters linearly,
   so each face entry is good to ~1 ulp.  x*sin t is a double-double as
@@ -41,6 +33,21 @@ Bessel evaluation strategy
   is, and what remains is the rounding of the sums (J errors ~1e-16 rms
   at x = 1500).  ``_quad_achieved`` keeps charging the larger x*eps/2 of a
   double-precision x*sin t.
+
+* a band of x, all in the quadrature region for every order of a series
+  sum_m c_m J_{nu_m}(x), is summed inside the integral
+  (``_bessel_quad_band``): the sum is linear in J, so
+
+      sum_m c_m J_{nu_m}(x) = (1/pi) Re int_0^pi F(t) e^{-i x sin t} dt
+                              - int_0^inf G(t) e^{-x sinh t} dt,
+      F(t) = sum_m c_m e^{i nu_m t},  G(t) = sum_m c_m sin(pi nu_m)/pi e^{-nu_m t}.
+
+  F and G are formed once per band on nodes as fine as any member's own
+  (F through the same three trig faces), and each x then costs its node
+  phases and a few dot products instead of one quadrature per order.
+  The rounding of F and G is a few eps * sum_m |c_m| per node, so the
+  caller bounds the band (``kernel_series._groups``) to keep that scale
+  close to each member's own.
 """
 
 from __future__ import annotations
@@ -312,6 +319,10 @@ def _panel_nodes(n_panels: int):
 
 # Largest (orders x blocks x 16) complex intermediate of one chunk (16 MB).
 _QUAD_CHUNK_ELEMS = 1 << 20
+# Largest array of one pass of a band quadrature: (x values x nodes) cells
+# of the node cube, (orders x panels) of the coefficient faces, (orders x
+# sinh nodes) of the decaying part; 512 KB of doubles.
+_BAND_CELLS = 1 << 16
 
 
 def _panel_count(nu_max: float, x: float) -> int:
@@ -320,20 +331,38 @@ def _panel_count(nu_max: float, x: float) -> int:
     return max(4, int(math.ceil((nu_max + x) / 4.0)) + 2)
 
 
-def _quad_faces(nus: np.ndarray, n_panels: int):
-    """The three trig faces e^{i nu a_r}, e^{i nu b_q}, e^{i nu o_k} of
-    _bessel_quad_batch for every order in nus, or None when they would
-    hold more than _QUAD_CHUNK_ELEMS entries.  Each entry depends on one
-    order and one node offset only, so the faces of a ladder, sliced, are
-    bitwise the faces of its prefix: a caller that evaluates many x on one
-    panel count forms them once and passes each batch its slice."""
-    centers, starts, offsets = _panel_nodes(n_panels)[:3]
-    if nus.shape[0] * (centers.shape[0] + starts.shape[0] + 16) > _QUAD_CHUNK_ELEMS:
-        return None
-    return tuple(_unit_phases(nus, a) for a in (centers, starts, offsets))
+def _node_cis(x, s_hi, s_lo, shift):
+    """cos and sin of x sin t on the node cube of _panel_nodes, the phase
+    formed as x sin c (an exact product of x with the double-double sin c)
+    plus x (sin t - sin c), a double of size <= x*w/2 <= 2*pi.  x is a
+    float, giving the (K, Q, 16) cube, or an (n, 1, 1) array, giving one
+    cube per x."""
+    p_hi, p_lo = two_prod(x, s_hi)
+    phi_hi, phi_lo = two_sum(p_hi[..., None], np.expand_dims(x, -1) * shift)
+    phi_lo += (p_lo + x * s_lo)[..., None]
+    return _cos_sin_split(phi_hi, phi_lo)
 
 
-def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance, faces=None) -> np.ndarray:
+def _sinh_nodes(x_lo: float, x_hi: float):
+    """Gauss nodes and weights for int_0^inf exp(-nu t - x sinh t) dt at
+    every x in [x_lo, x_hi]: dyadic panels of [0, T], T = asinh(45/x_lo),
+    beyond which the integrand is below exp(-45).  Every dyadic panel is
+    as wide as its left end, whatever T is, and the count is that of x_hi
+    plus enough halvings that the first panel is no wider than x_hi's own."""
+    T = math.asinh(45.0 / x_lo)
+    n_dyadic = max(4, int(math.ceil(math.log2(x_hi))) + 2)
+    n_dyadic += int(math.ceil(math.log2(T / math.asinh(45.0 / x_hi))))
+    edges = [0.0] + [T * 2.0 ** (-j) for j in range(n_dyadic - 1, -1, -1)]
+    t_nodes = []
+    w_nodes = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        hw = 0.5 * (b - a)
+        t_nodes.append(0.5 * (a + b) + hw * _GL_NODES)
+        w_nodes.append(hw * _GL_WEIGHTS)
+    return np.concatenate(t_nodes), np.concatenate(w_nodes)
+
+
+def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
     # Oscillatory part (1/pi) int_0^pi cos(nu t - x sin t) dt, on panels
     # sized so each sees at most ~2 oscillations, written with the node
     # split t = a_r + b_q + o_k of _panel_nodes:
@@ -341,18 +370,12 @@ def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance, faces=None) ->
     #     E = (weight / pi) e^{-i x sin t}.
     # Per chunk of orders the sum over r is one complex product
     # (orders x K) @ (K x Q*16); the sums over q and k are contractions
-    # against the other two faces.  Phases: x sin t = x sin c + x (sin t -
-    # sin c), the first an exact product of x with the double-double sin c,
-    # the second a double of size <= x*w/2 <= 2*pi; face phases nu*s are
-    # exact double-double products.  Error model: module docstring.
-    # faces, when given, is _quad_faces of these orders on this panel count.
+    # against the other two faces.  Face phases nu*s are exact
+    # double-double products.  Error model: module docstring.
     n_panels = _panel_count(float(np.max(nus)), x)
     centers, starts, offsets, (s_hi, s_lo), shift, weights = _panel_nodes(n_panels)
-    p_hi, p_lo = two_prod(x, s_hi)
-    phi_hi, phi_lo = two_sum(p_hi[:, :, None], x * shift)
-    phi_lo += (p_lo + x * s_lo)[:, :, None]
-    cos_phi, sin_phi = _cos_sin_split(phi_hi, phi_lo)
-    e = np.empty(phi_hi.shape, dtype=complex)  # (K, Q, 16)
+    cos_phi, sin_phi = _node_cis(x, s_hi, s_lo, shift)
+    e = np.empty(cos_phi.shape, dtype=complex)  # (K, Q, 16)
     e.real = cos_phi * weights
     e.imag = -sin_phi * weights
     n_blocks = starts.shape[0]
@@ -362,29 +385,14 @@ def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance, faces=None) ->
     chunk = max(1, _QUAD_CHUNK_ELEMS // (n_blocks * 16))
     for lo_i in range(0, nus.shape[0], chunk):
         rows = slice(lo_i, lo_i + chunk)
-        # without shared faces, each face is formed for this chunk only
-        f_c = _unit_phases(nus[rows], centers) if faces is None else faces[0][rows]
-        t = (f_c @ e_mat).reshape(-1, n_blocks, 16)
-        f_s = _unit_phases(nus[rows], starts) if faces is None else faces[1][rows]
-        u = (f_s[:, None, :] @ t)[:, 0, :]  # (m, 16)
-        v = _unit_phases(nus[rows], offsets) if faces is None else faces[2][rows]
+        t = (_unit_phases(nus[rows], centers) @ e_mat).reshape(-1, n_blocks, 16)
+        u = (_unit_phases(nus[rows], starts)[:, None, :] @ t)[:, 0, :]  # (m, 16)
+        v = _unit_phases(nus[rows], offsets)
         out[rows] = np.sum(v.real * u.real - v.imag * u.imag, axis=1)
 
     sp = _sinpi_array(nus)
     if np.any(sp != 0.0):
-        # int_0^inf exp(-nu t - x sinh t) dt on dyadic panels of [0, T];
-        # beyond T the integrand is below exp(-45).
-        T = math.asinh(45.0 / x)
-        n_dyadic = max(4, int(math.ceil(math.log2(x))) + 2)
-        edges = [0.0] + [T * 2.0 ** (-j) for j in range(n_dyadic - 1, -1, -1)]
-        t_nodes = []
-        w_nodes = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            hw = 0.5 * (b - a)
-            t_nodes.append(0.5 * (a + b) + hw * _GL_NODES)
-            w_nodes.append(hw * _GL_WEIGHTS)
-        t_flat = np.concatenate(t_nodes)
-        w_flat = np.concatenate(w_nodes)
+        t_flat, w_flat = _sinh_nodes(x, x)
         g = np.exp(-x * np.sinh(t_flat)) * w_flat
         with np.errstate(under="ignore"):
             for lo_i in range(0, nus.shape[0], 4096):
@@ -399,6 +407,64 @@ def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance, faces=None) ->
             f"J_nu({x}): achieved error bound {achieved:.3e} exceeds tolerance",
             achieved,
         )
+    return out
+
+
+def _bessel_quad_band(nus: np.ndarray, coef: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_m coef[j, m] J_{nus[m]}(x) for every x of the ascending array xs
+    and every row j of coef, unvalidated: the Schlaefli integral of the
+    sum, formed coefficient-first.  The nodes are those of a one-x batch
+    at the band's ends, as fine as any member's: panels for the largest
+    order at xs[-1], sinh nodes from _sinh_nodes(xs[0], xs[-1]).
+
+        F_j(t) = sum_m coef[j, m] e^{i nu_m t}     on the panel nodes,
+        G_j(t) = sum_m coef[j, m] sin(pi nu_m)/pi e^{-nu_m t}   on the sinh nodes
+
+    are formed once, F through the three trig faces of the node split;
+    each x then costs its node cube e^{-i x sin t} * weight and two
+    products with F, and one with G.  The caller checks the precision."""
+    n_rows = coef.shape[0]
+    n_panels = _panel_count(float(nus[-1]), float(xs[-1]))
+    centers, starts, offsets, (s_hi, s_lo), shift, weights = _panel_nodes(n_panels)
+    n_cells = centers.shape[0] * starts.shape[0]
+    f = np.zeros((n_rows * 16, n_cells), dtype=complex)
+    step = max(1, _BAND_CELLS // (n_cells + 16 * n_rows))
+    for lo in range(0, nus.shape[0], step):
+        part = nus[lo : lo + step]
+        cells = _unit_phases(part, centers)[:, :, None] * _unit_phases(part, starts)[:, None, :]
+        left = coef[:, lo : lo + step, None] * _unit_phases(part, offsets)  # (rows, m, 16)
+        f += left.transpose(0, 2, 1).reshape(n_rows * 16, -1) @ cells.reshape(part.shape[0], -1)
+    # (rows, 16, K, Q) to the (rows, K, Q, 16) node order, weights folded in
+    f = f.reshape(n_rows, 16, centers.shape[0], starts.shape[0]).transpose(0, 2, 3, 1)
+    f = f.reshape(n_rows, -1) * weights.reshape(-1)
+    f_re = np.ascontiguousarray(f.real.T)
+    f_im = np.ascontiguousarray(f.imag.T)
+    del f
+
+    sp = _sinpi_array(nus)
+    decaying = bool(np.any(sp != 0.0))
+    if decaying:
+        t_flat, w_flat = _sinh_nodes(float(xs[0]), float(xs[-1]))
+        g = np.zeros((n_rows, t_flat.shape[0]))
+        step = max(1, _BAND_CELLS // t_flat.shape[0])
+        with np.errstate(under="ignore"):
+            for lo in range(0, nus.shape[0], step):
+                part = nus[lo : lo + step]
+                g += (coef[:, lo : lo + step] * sp[lo : lo + step]) @ np.exp(-np.outer(part, t_flat))
+        g = (g * (w_flat / math.pi)).T
+        sinh_t = np.sinh(t_flat)
+
+    out = np.empty((xs.shape[0], n_rows))
+    step = max(1, _BAND_CELLS // weights.size)
+    for lo in range(0, xs.shape[0], step):
+        part = xs[lo : lo + step]
+        cos_phi, sin_phi = _node_cis(part[:, None, None], s_hi, s_lo, shift)
+        out[lo : lo + step] = (
+            cos_phi.reshape(part.shape[0], -1) @ f_re + sin_phi.reshape(part.shape[0], -1) @ f_im
+        )
+        if decaying:
+            with np.errstate(under="ignore"):
+                out[lo : lo + step] -= np.exp(-np.outer(part, sinh_t)) @ g
     return out
 
 

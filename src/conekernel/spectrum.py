@@ -81,12 +81,19 @@ class ConeParams:
 
     @staticmethod
     def from_json(text: str) -> "ConeParams":
-        data = json.loads(text)
+        """Parameters from a JSON object with exactly the keys rho, n and c;
+        each value is checked as the constructor checks it."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"cone parameters are not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise DomainError(f"cone parameters must be a JSON object, got {data!r}")
         extra = set(data) - {"rho", "n", "c"}
         if extra:
             raise DomainError(f"unexpected keys in cone parameters: {sorted(extra)}")
         try:
-            return ConeParams(rho=float(data["rho"]), n=float(data["n"]), c=float(data["c"]))
+            return ConeParams(rho=data["rho"], n=data["n"], c=data["c"])
         except KeyError as exc:
             raise DomainError(f"missing key in cone parameters: {exc}") from exc
 

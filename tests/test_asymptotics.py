@@ -136,6 +136,12 @@ def test_prediction_requires_unit_or_larger_argument():
         principal_prediction(THIRD, 0.0, 0.5)
 
 
+def test_prediction_refuses_boolean_argument():
+    # True == 1 would otherwise give the value at x = 1
+    with pytest.raises(DomainError, match="prediction requires x >= 1, got True"):
+        principal_prediction(THIRD, 0.0, True)
+
+
 def test_prediction_closed_form_third_radius():
     # At rho = 1/3, phi0 = 0:
     # P(x) = (sqrt(3)/9) exp(i(x sin(pi/6) - pi)) sqrt(x).

@@ -52,6 +52,14 @@ def test_branch_label_validation():
         BranchLabel(1, 1, 0.5)
 
 
+def test_branch_label_refuses_boolean_signs():
+    with pytest.raises(DomainError, match="sigma1 must be \\+1 or -1, got True"):
+        BranchLabel(True, -1, 0)
+    with pytest.raises(DomainError, match="sigma2 must be \\+1 or -1, got True"):
+        BranchLabel(1, True, 0)
+    assert BranchLabel(np.int64(-1), 1, 0).sigma1 == -1
+
+
 def test_q_bound_values():
     assert q_bound(1 / 3) == 3
     assert q_bound(0.5) == 2

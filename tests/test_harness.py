@@ -48,6 +48,15 @@ def test_make_grid_validation():
         make_grid(1.0, 10.0, 4, "cubic")
 
 
+def test_make_grid_refuses_non_numbers():
+    with pytest.raises(InputError, match="grid needs finite 0 < lo < hi"):
+        make_grid("1", 2.0, 3)
+    with pytest.raises(InputError, match="grid needs finite 0 < lo < hi"):
+        make_grid(1.0, None, 3)
+    with pytest.raises(InputError, match="grid count must be an integer"):
+        make_grid(1.0, 2.0, "3")
+
+
 # ---------------------------------------------------------------------------
 # Decay-exponent regression.
 # ---------------------------------------------------------------------------
@@ -226,6 +235,24 @@ def test_scan_predictions_at_both_endpoints():
     for row in table.rows:
         assert row.prediction == principal_prediction(params, row.phi, row.x)
         assert (row.prediction != 0j) == (row.phi == math.pi)
+
+
+@pytest.mark.parametrize("rho", [0.3, 2 / 3, 0.9])
+def test_scan_predictions_bitwise_principal_prediction(rho):
+    # a thin-growth-like scan: both endpoint angles and an interior one,
+    # x from below 1 to 2000; the scan builds the terms once per angle
+    params = ConeParams(rho=rho, n=3, c=0.0)
+    xs = [0.5, *(float(x) for x in make_grid(100.0, 2000.0, 16, "log"))]
+    table = scan(params, xs, [0.0, math.pi / 2, math.pi], tol=1e-10, with_prediction=True)
+    for row in table.rows:
+        if row.phi == math.pi / 2 or row.x < 1.0:
+            assert row.prediction is None
+            continue
+        expected = principal_prediction(params, row.phi, row.x)
+        assert (row.prediction.real.hex(), row.prediction.imag.hex()) == (
+            expected.real.hex(),
+            expected.imag.hex(),
+        )
 
 
 def test_scan_predictions_skipped_for_resonant_radius():

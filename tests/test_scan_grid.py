@@ -1,9 +1,13 @@
 """A scan is one grid evaluation.
 
-Every value a scan returns must be bitwise the value eval_I_multi gives at
-that x alone, whatever mix of Bessel paths the grid holds, whatever order
-its x values come in and whatever the worker count.  The batched
-truncation search must return the one-x search's M and tail bound.
+Outside bands, every value a scan returns must be bitwise the value
+eval_I_multi gives at that x alone, whatever mix of Bessel paths the grid
+holds.  Inside a band (a run of quadrature-only x sharing one band
+quadrature) a value may differ from it by at most
+4 eps sum_{m < N_b} |a_m| x^{-d}, |a_m| = ((m+d)/d) max_phi |C_m^d(cos phi)|.
+Either way the values are identical whatever order the x values come in
+and whatever the worker count.  The batched truncation search must return
+the one-x search's M and tail bound.
 """
 import math
 import tracemalloc
@@ -14,8 +18,10 @@ from test_truncation_frozen import FROZEN_M, TRUNCATION_XS
 
 import conekernel.kernel_series as ks
 from conekernel import CapacityError, ConeParams, DomainError, eval_I_multi, make_grid, nu_many, scan
-from conekernel.kernel_series import _eval_grid, _truncation, _truncations
-from conekernel.specfun import _panel_count
+from conekernel.kernel_series import _eval_grid, _scan_groups, _truncation, _truncations
+from conekernel.specfun import _panel_count, gegenbauer_all
+
+EPS = 2.0**-52
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -58,20 +64,65 @@ def _bessel_paths(params, x, tol):
     return kind, panels
 
 
+def _banded(params, xs, phis, tol):
+    """Indices of the x that the grid evaluates in bands."""
+    runs = _scan_groups(params, xs, phis, _truncations(params, xs, tol))
+    return {i for run in runs if len(run) > 2 * len(phis) for i in run}
+
+
+def _band_scale(params, phis, n_terms, x):
+    """eps sum_{m < N_b} |a_m| x^{-d}: the rounding scale of a band value."""
+    d = params.d
+    cg = np.max([np.abs(gegenbauer_all(n_terms - 1, d, math.cos(phi))) for phi in phis], axis=0)
+    return EPS * float(np.sum((np.arange(n_terms) + d) / d * cg)) * x ** (-d)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_scan_and_grid_are_bitwise_per_x_evaluation(seed):
     params, xs, phis, tol, window = _grid_case(seed)
     assert {_bessel_paths(params, x, tol)[0] for x in xs} == {"series", "mixed", "quad"}
     assert len({_bessel_paths(params, float(x), tol)[1] for x in window}) < len(window) // 2
+    banded = _banded(params, xs, phis, tol)
+    assert banded and banded <= {xs.index(float(x)) for x in window}
 
-    reference = {x: [_result_bits(r) for r in eval_I_multi(params, x, phis, tol=tol)] for x in xs}
+    reference = {x: eval_I_multi(params, x, phis, tol=tol) for x in xs}
     grid = _eval_grid(params, xs, phis, tol)
-    assert [[_result_bits(r) for r in per_x] for per_x in grid] == [reference[x] for x in xs]
-    for workers in (1, 2):
-        table = scan(params, xs, phis, tol=tol, workers=workers)
+    for i, (x, per_x) in enumerate(zip(xs, grid)):
+        if i not in banded:
+            assert [_result_bits(r) for r in per_x] == [_result_bits(r) for r in reference[x]]
+            continue
+        n_terms = per_x[0].terms_used
+        assert n_terms >= reference[x][0].terms_used
+        bound = 4.0 * _band_scale(params, phis, n_terms, x)
+        for res, ref in zip(per_x, reference[x]):
+            assert res.tail_bound == ref.tail_bound
+            assert abs(res.value - ref.value) <= bound
+    values = {x: [_bits(r.value) for r in per_x] for x, per_x in zip(xs, grid)}
+    shuffled = list(reversed(xs))
+    for workers, grid_xs in ((1, xs), (2, xs), (1, shuffled), (2, shuffled)):
+        table = scan(params, grid_xs, phis, tol=tol, workers=workers)
         assert len(table.rows) == len(xs) * len(phis)
         for row in table.rows:
-            assert _bits(row.value) == reference[row.x][phis.index(row.phi)][:2]
+            assert _bits(row.value) == values[row.x][phis.index(row.phi)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_band_flat_space_no_worse_than_per_x(n):
+    # rho = 1, c = 0: |I| = 1/(d 2^d Gamma(d)) exactly, so the error of
+    # both paths is known
+    params = ConeParams(rho=1.0, n=n, c=0.0)
+    d = params.d
+    exact = 1.0 / (d * 2.0**d * math.gamma(d))
+    phis = [0.0, math.pi]
+    xs = [float(x) for x in make_grid(100.0, 2000.0, 600, "log")]
+    banded = sorted(_banded(params, xs, phis, 1e-10))
+    assert len(banded) >= len(xs) // 2
+    grid = _eval_grid(params, xs, phis, 1e-10)
+    band_err = max(abs(abs(r.value) - exact) for i in banded for r in grid[i])
+    per_x_err = max(
+        abs(abs(r.value) - exact) for i in banded for r in eval_I_multi(params, xs[i], phis)
+    )
+    assert band_err <= 1.25 * per_x_err
 
 
 def test_grid_terms_override_matches_one_x():
@@ -138,3 +189,47 @@ def test_gate_sized_scan_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 35e6
+
+
+def test_audit_window_memory():
+    # a growth audit's FFT window: 512 x on a linear grid, one band
+    # quadrature per run, chunked so no large node cube is held
+    params = ConeParams(rho=0.6, n=3, c=0.0)
+    xs = make_grid(110.0, 212.2, 512, "linear")
+    tracemalloc.start()
+    try:
+        scan(params, xs, [0.0], tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+@pytest.mark.parametrize("rho,n,c,phis", [(0.6, 3, 0.0, [0.0]), (1.5, 6, 0.7, [0.0, 1.1, math.pi])])
+def test_band_rules(rho, n, c, phis):
+    params = ConeParams(rho=rho, n=n, c=c)
+    d = params.d
+    xs = [float(x) for x in make_grid(13.0, 600.0, 300, "linear")]
+    truncated = _truncations(params, xs, 1e-10)
+    runs = _scan_groups(params, xs, phis, truncated)
+    assert sorted(i for run in runs for i in run) == list(range(len(xs)))
+    assert [xs[i] for run in runs for i in run] == sorted(xs)
+    n_max = max(m for m, _ in truncated) + 1
+    nus = nu_many(params, np.arange(n_max))
+    cg = np.max([np.abs(gegenbauer_all(n_max - 1, d, math.cos(phi))) for phi in phis], axis=0)
+    scale = np.cumsum((np.arange(n_max) + d) / d * cg)
+    bands = [run for run in runs if len(run) > 2 * len(phis)]
+    assert len(bands) >= 2
+    for run in bands:
+        n_band = max(truncated[i][0] for i in run) + 1
+        assert xs[run[0]] > max(12.0, 0.5 * nus[n_band - 1])
+        for i in run:
+            assert scale[n_band - 1] <= 1.25 * scale[truncated[i][0]]
+
+
+def test_no_band_below_twelve_or_beyond_quadrature_precision():
+    params = ConeParams(rho=0.6, n=3, c=0.0)
+    for lo, hi in ((0.5, 12.0), (7000.0, 7010.0)):
+        xs = [float(x) for x in make_grid(lo, hi, 40, "linear")]
+        runs = _scan_groups(params, xs, [0.0], _truncations(params, xs, 1e-10))
+        assert all(len(run) == 1 for run in runs)

@@ -142,3 +142,20 @@ def test_json_rejects_unknown_keys():
         ConeParams.from_json('{"rho": 1.0, "n": 3, "c": 0.0, "d": 0.5}')
     with pytest.raises(DomainError):
         ConeParams.from_json('{"rho": 1.0, "n": 3}')
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"rho": true, "n": 3, "c": 0}', "rho must be a finite real number, got True"),
+        ('{"rho": "a", "n": 3, "c": 0}', "rho must be a finite real number, got 'a'"),
+        ('{"rho": 1, "n": 3, "c": false}', "c must be a finite real number, got False"),
+        ("[1]", "cone parameters must be a JSON object, got [1]"),
+        ("{rho: 1}", "cone parameters are not valid JSON"),
+    ],
+)
+def test_json_values_are_checked(text, message):
+    # before, true was read as 1.0, "a" raised a bare ValueError and [1]
+    # was reported as an unexpected key
+    with pytest.raises(DomainError, match=message.replace("[", r"\[").replace("]", r"\]")):
+        ConeParams.from_json(text)
