@@ -251,8 +251,8 @@ def _groups(xs, truncated, nus, weight, cgs) -> list[list[int]]:
         _quad_achieved(x) <= abs_tol.
     An x with series orders, or past that precision, is a run of its own.
     Every test reads only the sorted x, their truncations and prefixes of
-    the ladder, so any union of whole runs, grouped again, gives the same
-    runs."""
+    the ladder, so a contiguous sequence of whole runs, grouped again,
+    gives the same runs."""
     scale = np.cumsum(weight * np.max(np.abs(cgs), axis=0))
     abs_tol = DEFAULT_TOL.abs_tol
     runs: list[list[int]] = []
