@@ -125,7 +125,7 @@ def make_grid(lo: float, hi: float, count: int, spacing: str = "log") -> np.ndar
     """Monotone evaluation grid: "log" (geometric) or "linear"."""
     if not (is_real(lo) and is_real(hi) and math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise InputError(f"grid needs finite 0 < lo < hi, got lo={lo}, hi={hi}")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 2:
+    if not isinstance(count, int) or count < 2:
         raise InputError(f"grid count must be an integer >= 2, got {count!r}")
     if spacing == "log":
         return np.geomspace(lo, hi, count)
