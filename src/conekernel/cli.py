@@ -110,7 +110,6 @@ _CONFIG_CHECKS = {
     "x_spacing": lambda name, v: v,
     "phis": _check_angles,
     "tol": check_finite,
-    "workers": check_integer,
 }
 
 
@@ -129,7 +128,6 @@ class RunConfig:
     x_spacing: str = "log"
     phis: tuple = (0.4, math.pi / 2.0, math.pi - 0.4)
     tol: float = 1e-10
-    workers: int = 1
 
     def to_json(self) -> str:
         data = asdict(self)
@@ -291,7 +289,6 @@ def _cmd_scan(ns) -> int:
         phis,
         tol=ns.tol,
         with_prediction=ns.with_prediction,
-        workers=ns.workers,
     )
     if ns.out and ns.out != "-":
         write_csv(table, ns.out)
@@ -324,7 +321,7 @@ def _cmd_decay_fit(ns) -> int:
     phi = parse_angle(ns.phi)
     spacing = "linear" if ns.with_frequency else "log"
     xs = make_grid(ns.x_min, ns.x_max, ns.x_count, spacing)
-    table = scan(params, xs, [phi], tol=ns.tol, workers=ns.workers)
+    table = scan(params, xs, [phi], tol=ns.tol)
     moduli = [row.modulus for row in table.rows]
     # Densify the binning when the window spans too few octaves for the
     # fit's minimum sample count.
@@ -359,7 +356,7 @@ def _cmd_verify(ns) -> int:
             config = RunConfig.from_json(handle.read())
     overrides = {}
     for field in ("rho", "n", "c", "which", "threshold", "x_min", "x_max", "x_count",
-                  "x_spacing", "tol", "workers"):
+                  "x_spacing", "tol"):
         value = getattr(ns, field)
         if value is not None:
             overrides[field] = value
@@ -381,7 +378,7 @@ def _cmd_verify(ns) -> int:
 
     params = ConeParams(rho=config.rho, n=config.n, c=config.c)
     xs = make_grid(config.x_min, config.x_max, config.x_count, config.x_spacing)
-    table = scan(params, xs, config.phis, tol=config.tol, workers=config.workers)
+    table = scan(params, xs, config.phis, tol=config.tol)
     report = verify_bound(table, config.which, config.threshold)
     _print_json(
         {
@@ -437,7 +434,6 @@ def _parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--phi", type=str, required=True, help='comma-separated angles, e.g. "0,pi/2,pi"')
     p_scan.add_argument("--tol", type=float, default=1e-10)
     p_scan.add_argument("--with-prediction", action="store_true", help="attach principal-term predictions at endpoint angles")
-    p_scan.add_argument("--workers", type=int, default=1)
     p_scan.add_argument("--out", type=str, default=None, help='CSV path ("-" or omitted: stdout)')
     p_scan.set_defaults(func=_cmd_scan)
 
@@ -458,7 +454,6 @@ def _parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--x-count", type=int, required=True)
     p_fit.add_argument("--bins-per-octave", type=int, default=2)
     p_fit.add_argument("--tol", type=float, default=1e-10)
-    p_fit.add_argument("--workers", type=int, default=1)
     p_fit.add_argument("--with-frequency", action="store_true", help="linear grid; also report the dominant frequency")
     p_fit.add_argument("--growth", type=float, default=None, help="detrend exponent for frequency detection")
     p_fit.set_defaults(func=_cmd_decay_fit)
@@ -477,7 +472,6 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--phi", type=str, default=None, help="comma-separated angles")
     p_ver.add_argument("--epsilon0", type=float, default=None, help="angular cutoff: scan {eps, pi/2, pi-eps}")
     p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--workers", type=int, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

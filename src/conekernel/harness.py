@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -23,7 +21,7 @@ from ._checks import check_positive, is_real
 from .asymptotics import envelope_general, envelope_interior, _principal_sum, principal_terms
 from .critical_points import is_resonant_rho
 from .errors import DomainError, InputError
-from .kernel_series import _eval_grid, _scan_groups, _truncations
+from .kernel_series import _eval_grid
 from .spectrum import ConeParams
 
 __all__ = [
@@ -142,36 +140,28 @@ def _endpoint_angle(phi: float) -> float | None:
     return None
 
 
-def _scan_values(params: ConeParams, phis: list[float], tol: float, xs: list[float], truncated=None):
-    grid = _eval_grid(params, xs, phis, tol, truncated=truncated)
-    return [[res.value for res in per_phi] for per_phi in grid]
-
-
 def scan(
     params: ConeParams,
     x_grid,
     phi_grid,
     tol: float = 1e-10,
     with_prediction: bool = False,
-    workers: int = 1,
 ) -> ScanTable:
     """Evaluate the series on the product grid.  The x values go through
     one grid evaluation, kernel_series._eval_grid: what does not depend on
     x is formed once (the truncation screen, the nu ladder, one Gegenbauer
     row per angle) and each x's Bessel work is shared by all angles.
-    Dense runs of x that need only quadrature orders are banded: one band
-    quadrature sums the series inside the Schlaefli integral for the whole
-    run.  A value outside a band is bitwise the one eval_I_multi gives at
-    that x; a value inside one differs from it by at most a few
-    eps * sum_{m < N_b} |a_m| * x^{-d} (a_m = ((m+d)/d) max_phi |C_m^d(cos phi)|,
-    N_b the band's order count).  Values are identical for any worker count
-    and any order of the x grid, because bands are formed on the sorted
-    grid.  With `workers` > 1 the truncations are searched here, and
-    contiguous chunks of whole runs of the sorted grid are evaluated in
-    that many processes.  When several x fail, the error raised may name
-    another x than a per-x loop would: every truncation runs before any
-    Bessel work, so a CapacityError comes first, and Bessel work runs in
-    ascending x.  Envelopes are computed once per x.  With
+    Dense runs of x that need only quadrature orders are banded: the
+    Bessel sinc series is summed coefficient-first once for the whole run,
+    so each x costs its Bessel samples and two products.  A value outside
+    a band is bitwise the one eval_I_multi gives at that x; a value inside
+    one differs from it by at most a few eps * sum_{m < N_b} |a_m| * x^{-d}
+    (a_m = ((m+d)/d) max_phi |C_m^d(cos phi)|, N_b the band's order count).
+    Values are identical for any order of the x grid, because bands are
+    formed on the sorted grid.  When several x fail, the error raised may
+    name another x than a per-x loop would: every truncation runs before
+    any Bessel work, so a CapacityError comes first, and Bessel work runs
+    in ascending x.  Envelopes are computed once per x.  With
     `with_prediction`, rows at endpoint angles (within 1e-12 of 0 or pi)
     with x >= 1 carry the sum of principal terms that principal_prediction
     gives, with the terms built once per angle, unless 1/rho is an even
@@ -188,31 +178,9 @@ def scan(
             raise InputError(f"scan angles must lie in [0, pi], got {phi}")
     if len(set(xs)) != len(xs) or len(set(phis)) != len(phis):
         raise InputError("scan grids must not contain duplicates")
-    if not isinstance(workers, int) or workers < 1:
-        raise InputError(f"workers must be a positive integer, got {workers!r}")
     tol = check_positive("tol", tol)
     predict = with_prediction and not is_resonant_rho(params.rho)
-
-    if workers == 1 or len(xs) == 1:
-        per_x = _scan_values(params, phis, tol, xs)
-    else:
-        truncated = _truncations(params, xs, tol)
-        runs = _scan_groups(params, xs, phis, truncated)
-        # contiguous chunks of whole runs, about 4 per worker, keep
-        # neighbouring x together and every band in one process
-        size = -(-len(xs) // (4 * workers))
-        chunks = [[]]
-        for run in runs:
-            if len(chunks[-1]) >= size:
-                chunks.append([])
-            chunks[-1].extend(run)
-        tasks = [([xs[i] for i in chunk], [truncated[i] for i in chunk]) for chunk in chunks]
-        with get_context("fork").Pool(processes=min(workers, len(chunks))) as pool:
-            parts = pool.starmap(partial(_scan_values, params, phis, tol), tasks, chunksize=1)
-        per_x = [None] * len(xs)
-        for chunk, part in zip(chunks, parts):
-            for i, values in zip(chunk, part):
-                per_x[i] = values
+    per_x = [[res.value for res in per_phi] for per_phi in _eval_grid(params, xs, phis, tol)]
 
     envelopes = [(envelope_interior(params, x), envelope_general(params, x)) for x in xs]
     rows: list[ScanRow] = []

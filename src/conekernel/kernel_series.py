@@ -16,11 +16,14 @@ times I(r1 r2 / (2t), phi).
 Every evaluation goes through one grid path, _eval_grid, which forms what
 does not depend on x once per grid.  A one-x call (eval_I, eval_I_multi)
 computes J_{nu_m}(x) order by order and sums the products exactly
-rounded.  On a dense grid, runs of x whose orders all lie in the Bessel
-quadrature region are banded: the m-sum is taken inside the Schlaefli
-integral once per run (specfun._bessel_quad_band), the functional-calculus
-form of cone kernels (Cheeger & Taylor, CPAM 35, 1982).  A band value
-differs from the one-x value by a few eps * sum_{m < N_b} |a_m| x^{-d},
+rounded.  In the Bessel quadrature region J comes from the Anger
+function's samples at half-integer orders (specfun).  On a dense grid,
+runs of x whose orders all lie in that region are banded: the m-sum is
+moved through the sampling series once per run
+(specfun._bessel_quad_band), so each x costs its samples and two
+products, in the spirit of the functional-calculus form of cone kernels
+(Cheeger & Taylor, CPAM 35, 1982).  A band value differs from the one-x
+value by a few eps * sum_{m < N_b} |a_m| x^{-d},
 |a_m| = ((m+d)/d) max_phi |C_m^d(cos phi)|, and bands are sized so that
 this scale stays within 1.25 times each x's own.
 """
@@ -42,7 +45,7 @@ from .specfun import (
     gegenbauer_all,
     log_gamma,
 )
-from .spectrum import ConeParams, nu, nu_many
+from .spectrum import ConeParams, nu_many
 
 __all__ = [
     "KernelPoint",
@@ -113,13 +116,15 @@ class SeriesResult:
     tail_bound: float
 
 
-def _log_tail_term(params: ConeParams, x: float, m: int) -> float:
-    """log of the m-th tail majorant term (endpoint Gegenbauer bound)."""
+def _log_tail_term(params: ConeParams, x: float, m: int, log_gamma_2d: float) -> float:
+    """log of the m-th tail majorant term (endpoint Gegenbauer bound), given
+    log_gamma(2d)."""
     # m >= 1 keeps every argument but 2d at or above 1, where log_gamma is
-    # the bare Lanczos sum
+    # the bare Lanczos sum; nu_m is spectrum.nu's arithmetic, unvalidated
     d = params.d
-    nm = nu(params, m)
-    log_c_end = _lanczos(m + 2.0 * d, math.log) - _lanczos(m + 1.0, math.log) - log_gamma(2.0 * d)
+    fm = float(m)
+    nm = math.sqrt(fm * (fm + 2.0 * d) / (params.rho * params.rho) + d * d + params.c)
+    log_c_end = _lanczos(m + 2.0 * d, math.log) - _lanczos(m + 1.0, math.log) - log_gamma_2d
     return (
         -d * math.log(x)
         + math.log((m + d) / d)
@@ -129,14 +134,19 @@ def _log_tail_term(params: ConeParams, x: float, m: int) -> float:
     )
 
 
-def _certify_tail(params: ConeParams, x: float, m: int, tol: float) -> float | None:
+def _certify_tail(
+    params: ConeParams, x: float, m: int, tol: float, log_gamma_2d: float | None = None
+) -> float | None:
     """Certified bound on the tail beyond index m, or None if the
-    geometric closure does not yet apply."""
-    lt1 = _log_tail_term(params, x, m + 1)
+    geometric closure does not yet apply.  A caller that certifies many
+    indices passes log_gamma(2d) in once."""
+    if log_gamma_2d is None:
+        log_gamma_2d = log_gamma(2.0 * params.d)
+    lt1 = _log_tail_term(params, x, m + 1, log_gamma_2d)
     if lt1 >= math.log(tol) - math.log(10.0):
         return None
-    lt2 = _log_tail_term(params, x, m + 2)
-    lt3 = _log_tail_term(params, x, m + 3)
+    lt2 = _log_tail_term(params, x, m + 2, log_gamma_2d)
+    lt3 = _log_tail_term(params, x, m + 3, log_gamma_2d)
     r = max(math.exp(lt2 - lt1), math.exp(lt3 - lt2))
     if r > _RATIO_CAP:
         return None
@@ -189,6 +199,7 @@ def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
     check, so every M and bound equals the one-x search."""
     found: list = [None] * len(xs)
     pending = list(range(len(xs)))
+    log_gamma_2d = log_gamma(2.0 * params.d)
     m0 = 0
     block = _BLOCK_FIRST
     while pending and m0 <= _TRUNCATION_CAP:
@@ -196,7 +207,7 @@ def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
         candidates = _screen(params, [xs[i] for i in pending], tol, m0, m1)
         for i, cands in zip(pending, candidates):
             for m in cands:
-                tail = _certify_tail(params, xs[i], int(m), tol)
+                tail = _certify_tail(params, xs[i], int(m), tol, log_gamma_2d)
                 if tail is not None:
                     found[i] = (int(m), tail)
                     break
@@ -286,27 +297,27 @@ def _eval_grid(
     phis,
     tol: float,
     terms: int | None = None,
-    truncated=None,
 ) -> list[list[SeriesResult]]:
     """The series at every x of xs and every angle of phis, unvalidated,
     as one list of per-angle results per x.  What does not depend on x is
-    formed once: the truncation screen (skipped when `truncated` gives each
-    x's (M, tail bound)), the nu ladder and its phases up to the largest M,
-    and one Gegenbauer row per angle.
+    formed once: the truncation screen, the nu ladder and its phases up to
+    the largest M, and one Gegenbauer row per angle.
 
     The x are visited in ascending order, in the runs of _groups.  A run
-    of more than 2 x per angle is a band: its values come from one band
-    quadrature, specfun._bessel_quad_band, of the coefficients
-    a_m(phi) e^{-i pi nu_m/2} over the orders [0, N_b); each reports
-    terms_used = N_b and keeps its own tail bound, which also covers the
-    tail beyond N_b - 1.  A band value differs from the per-x one by at
-    most a few eps * sum_{m < N_b} |a_m| * x^{-d}.  Every other x is
-    evaluated alone, and is bitwise eval_I_multi(params, x, phis, tol,
-    terms); a one-x call is always such an x."""
-    if truncated is None and terms is None:
+    of more than 2 x per angle is a band: its values come from one
+    specfun._bessel_quad_band call, which sums the Bessel sinc series of
+    the coefficients a_m(phi) e^{-i pi nu_m/2} over the orders [0, N_b)
+    coefficient-first; each reports terms_used = N_b and keeps its own
+    tail bound, which also covers the tail beyond N_b - 1.  A band value
+    differs from the per-x one by at most a few
+    eps * sum_{m < N_b} |a_m| * x^{-d}.  Every other x is evaluated alone,
+    and is bitwise eval_I_multi(params, x, phis, tol, terms); a one-x call
+    is always such an x."""
+    if terms is None:
         truncated = _truncations(params, xs, tol)
-    elif truncated is None:
-        certified = [_certify_tail(params, x, int(terms), tol) for x in xs]
+    else:
+        log_gamma_2d = log_gamma(2.0 * params.d)
+        certified = [_certify_tail(params, x, int(terms), tol, log_gamma_2d) for x in xs]
         truncated = [(int(terms), math.inf if c is None else c) for c in certified]
     nus, (phase_re, phase_im), weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
     scales = [x ** (-params.d) for x in xs]

@@ -9,57 +9,77 @@ Bessel evaluation strategy
 * ``x <= max(12, nu/2)``: ascending power series, accumulated in
   double-double arithmetic so the alternating-series cancellation near
   x ~ 12 costs no accuracy.
-* otherwise: the real-order Schlaefli integral (DLMF 10.9.6)
+* otherwise: samples of the Anger function (DLMF 11.10)
 
-      J_nu(x) = (1/pi) * int_0^pi cos(nu*t - x*sin t) dt
-                - (sin(nu*pi)/pi) * int_0^inf exp(-nu*t - x*sinh t) dt
+      AJ_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
+               = (1/(2 pi)) int_{-pi}^{pi} e^{i (nu t - x sin t)} dt,
 
-  with composite 16-point Gauss-Legendre panels.  Oscillatory panels are
-  uniform, sized so each carries at most ~two oscillations, and shared by
-  every order of a batch, so the oscillatory integral is a contraction of
-  e^{i nu t} against order-independent weights w * e^{-i x sin t}.  With
-  panel p = q*K + r (K ~ sqrt(P) for P panels) the node splits as
-  t = (r + 1/2)*w + q*K*w + o_k, so e^{i nu t} factors into three small
-  trig faces per order (K, P/K and 16 entries) and the sum over panels
-  becomes one complex matrix product followed by weighted sums over q and
-  k; no (orders x panels) trig array is formed.
+  which, as a function of nu, is entire, bounded by 1 on the real axis
+  and of exponential type pi: a band-limited signal, so its samples on
+  the half-integer grid nu = n/2 (twice the Nyquist rate) determine it.
+  With D_nu(x) = int_0^inf e^{-nu t - x sinh t} dt, DLMF 10.9.6 reads
+  J_nu = AJ_nu - sin(pi nu)/pi D_nu.  For one x:
 
-  Error model.  Every face phase nu*s is an exact double-double product;
-  libm reduces its high part exactly and the low part enters linearly,
-  so each face entry is good to ~1 ulp.  x*sin t is a double-double as
-  well: sin of the panel centre comes from ``dd_cis`` (~1e-21) and the
-  small centre-to-node increment, at most w/2, from plain doubles.  The
-  phase error of every node is therefore a few ulps of 2*pi whatever x
-  is, and what remains is the rounding of the sums (J errors ~1e-16 rms
-  at x = 1500).  ``_quad_achieved`` keeps charging the larger x*eps/2 of a
-  double-precision x*sin t.
+  1. J at every integer and half-integer order the windows read, from two
+     Miller backward recurrences (DLMF 3.6(iii)) started at
+     max(top order, 2x + 20) + 30 + 12 x^{1/3}.  The integer orders are
+     normalized by J_0 + 2 sum_k J_{2k} = 1 (an exactly rounded sum), the
+     half-integer ones by the closed forms J_{-1/2} = A cos x and
+     J_{1/2} = A sin x, A = sqrt(2/(pi x)).  Negative orders, read by the
+     windows of orders below 20, are J_{-k} = (-1)^k J_k and
+     J_{-k-1/2} = (-1)^{k+1} Y_{k+1/2}, Y by forward recurrence from
+     Y_{-1/2} = A sin x, Y_{1/2} = -A cos x.
+  2. AJ_{k+1/2} = J_{k+1/2} + (-1)^k D_{k+1/2}(x)/pi, and AJ_k = J_k;
+     D is a Gauss quadrature on the dyadic nodes of ``_sinh_nodes``.
+  3. AJ_nu from the Gaussian-regularized sinc series on that grid (Qian,
+     Proc. AMS 131, 2003): the _TAPS = 40 samples on each side of 2 nu,
+     weighted by sinc(2 nu - n) exp(-(2 nu - n)^2 / (2 sigma^2)),
+     sigma^2 = 2 * 40/pi.
+  4. J_nu = AJ_nu - sin(pi nu)/pi D_nu(x).  An order with 2 nu an integer
+     is its step-1 sample.
+
+  Error model.  In the sample index u = 2 nu the signal has type pi/2, a
+  gap of pi/2 below the grid's Nyquist band, and sigma^2 = 40/(pi/2)
+  balances the two error terms of Qian's bound, which then decays like
+  exp(-(pi/2) 40/2) = exp(-10 pi) ~ 2e-14 times sup |AJ_nu| <= 1.  Measured
+  against mpmath the sinc series adds no visible error; what remains is
+  the samples' rounding.  Each recurrence coefficient 2(k+s)/x is one
+  division (a precomputed 2/x biases every step alike), and a column is
+  scaled by an exact power of two before it overflows.  In the
+  oscillatory range k < x the recurrence's rounding adds up like a random
+  walk, to about 2e-15/sqrt(x) rms absolute (some 13 ulps of J's
+  amplitude, measured at x in [800, 2000]); J errors are below 1e-16
+  rms at x = 1500.  ``_quad_achieved`` charges x*eps/2 + 5e-15, well above both.
+  The recurrence start depends on x alone in the quadrature region (every
+  order is below 2x), so a one-x batch and a band share their samples
+  bitwise.  Per x this costs O(x) for the recurrences and
+  O(orders * (81 + T)) for the windows and D_nu, T ~ 200 sinh nodes.
 
 * a band of x, all in the quadrature region for every order of a series
-  sum_m c_m J_{nu_m}(x), is summed inside the integral
-  (``_bessel_quad_band``): the sum is linear in J, so
+  sum_m c_m J_{nu_m}(x), is summed coefficient-first
+  (``_bessel_quad_band``): the sum is linear in the samples, so
 
-      sum_m c_m J_{nu_m}(x) = (1/pi) Re int_0^pi F(t) e^{-i x sin t} dt
-                              - int_0^inf G(t) e^{-x sinh t} dt,
-      F(t) = sum_m c_m e^{i nu_m t},  G(t) = sum_m c_m sin(pi nu_m)/pi e^{-nu_m t}.
+      H(n) = sum_m c_m W(nu_m - n/2),
+      K(t) = sum_{n = 2k+1} (-1)^k H(n) e^{-n t/2} - sum_m c_m sin(pi nu_m) e^{-nu_m t}
 
-  F and G are formed once per band on nodes as fine as any member's own
-  (F through the same three trig faces), and each x then costs its node
-  phases and a few dot products instead of one quadrature per order.
-  The rounding of F and G is a few eps * sum_m |c_m| per node, so the
-  caller bounds the band (``kernel_series._groups``) to keep that scale
-  close to each member's own.
+  are formed once per band (K on nodes as fine as any member's own), and
+  each x then costs its J samples and two products,
+  sum_n H(n) J_{n/2}(x) + (1/pi) int_0^inf K(t) e^{-x sinh t} dt.  The
+  rounding of H and K is a few eps * sum_m |c_m|, so the caller bounds
+  the band (``kernel_series._groups``) to keep that scale close to each
+  member's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._checks import check_finite, check_nonnegative_int, check_positive
-from ._compensated import dd_add, dd_cis, dd_div, dd_mul, two_prod, two_sum
+from ._compensated import dd_add, dd_div, dd_mul, two_prod, two_sum
 from .errors import DomainError, PrecisionError
 
 __all__ = [
@@ -256,91 +276,144 @@ def _bessel_series(nu: float, x: float, tol: Tolerance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel J, quadrature region (x > max(12, nu/2))
+# Bessel J, quadrature region (x > max(12, nu/2)): Anger-function sampling
 # ---------------------------------------------------------------------------
 
 def _quad_achieved(x: float) -> float:
-    # Irreducible phase noise: x*sin(theta) carries x*eps/2 of absolute
-    # phase rounding; panel sums add a few ulps more.
+    # The bound charged to every quadrature-region value: x*eps/2, what
+    # the rounding of x alone moves J by (relative to its amplitude), plus
+    # 5e-15.  The sampling method's own errors lie well below it (module
+    # docstring).
     return x * 1.6e-16 + 5e-15
 
 
-def _cos_sin_split(hi: np.ndarray, lo: np.ndarray):
-    """cos/sin of an angle given as an unevaluated sum hi + lo with
-    |lo| << 1: libm reduces hi exactly, the lo correction is linear."""
-    c = np.cos(hi)
-    s = np.sin(hi)
-    return c - s * lo, s + c * lo
+# Sinc window: _TAPS samples on each side of an order's nearest half-order,
+# Gaussian factor exp(-z^2/(2 sigma^2)) with sigma^2 = 2*_TAPS/pi.
+_TAPS = 40
+_GAUSS = -0.25 * math.pi / _TAPS
+# A backward recurrence scales a column by 2^-600, exactly, once it passes 2^600.
+_RESCALE = 2.0**600
+# Largest (samples x arguments) array of one chunk of a band (1 MB).
+_BAND_CELLS = 1 << 17
+# Orders per pass of the per-order work: windows and decaying parts.
+_CHUNK = 256
 
 
-def _unit_phases(nus: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """e^{i nu a} on the (orders x angles) face, each phase nu*a formed as
-    an exact double-double product."""
-    hi, lo = two_prod(nus[:, None], angles[None, :])
-    c, s = _cos_sin_split(hi, lo)
-    out = np.empty(c.shape, dtype=complex)
-    out.real = c
-    out.imag = s
-    return out
+def _sinc_window(nus: np.ndarray):
+    """The Gaussian-regularized sinc series of every order on the grid of
+    half-orders n/2: order nu reads the 2*_TAPS + 1 samples n = base ..
+    base + 2*_TAPS, base = rint(2 nu) - _TAPS, with the weights
+
+        W(nu - n/2) = sinc(2 nu - n) exp(-(2 nu - n)^2 / (2 sigma^2)).
+
+    An order with 2 nu an integer gets the single weight 1 on its own
+    sample.  Returns base, the (orders x taps) weights and the mask of the
+    orders with 2 nu not an integer."""
+    u = 2.0 * nus
+    centre = np.rint(u)
+    f = u - centre  # exact, in [-1/2, 1/2]
+    offsets = np.arange(_TAPS, -_TAPS - 1, -1)  # 2 nu - n - f
+    z = f[:, None] + offsets
+    # sin(pi z) = (-1)^offset sin(pi f)
+    sign = 1.0 - 2.0 * (offsets % 2)
+    weights = z * z
+    weights *= _GAUSS
+    np.exp(weights, out=weights)
+    weights *= sign
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights /= math.pi * z
+        weights *= np.sin(math.pi * f)[:, None]
+    frac = f != 0.0
+    weights[~frac] = 0.0
+    weights[~frac, _TAPS] = 1.0
+    return centre.astype(np.int64) - _TAPS, weights, frac
 
 
-@lru_cache(maxsize=16)
-def _panel_nodes(n_panels: int):
-    """Order- and x-independent node data for n_panels uniform panels of
-    width w on [0, pi], grouped in blocks of K ~ sqrt(n_panels) panels.
-
-    Panel p = q*K + r has its centre at c = a_r + b_q with a_r = (r + 1/2) w
-    and block start b_q = q*K*w; its Gauss nodes are t = c + o_k.  Returns
-    a (K,), b (Q,), o (16,), sin c as a double-double on the (K, Q) grid,
-    sin t - sin c on the (K, Q, 16) cube and the quadrature weights / pi on
-    that cube, zero on the padding panels p >= n_panels.  Cached because
-    consecutive x in a scan mostly share a panel count.
-    """
-    width = math.pi / n_panels
-    k_in = int(math.ceil(math.sqrt(n_panels)))
-    n_blocks = -(-n_panels // k_in)
-    centers = (np.arange(k_in) + 0.5) * width
-    starts = np.arange(n_blocks) * (k_in * width)
-    offsets = 0.5 * width * _GL_NODES
-    cos_c, sin_c = dd_cis(*two_sum(centers[:, None], starts[None, :]))
-    # sin(c + o) - sin c = sin c (cos o - 1) + cos c sin o is at most w/2,
-    # so its double rounding costs only a few ulps of x*w/2 <= 2*pi.
-    shift = (
-        sin_c[0][:, :, None] * (-2.0 * np.sin(0.5 * offsets) ** 2)
-        + cos_c[0][:, :, None] * np.sin(offsets)
-    )
-    panel = np.arange(n_blocks)[None, :] * k_in + np.arange(k_in)[:, None]
-    weights = np.where((panel < n_panels)[:, :, None], _GL_WEIGHTS * (0.5 / n_panels), 0.0)
-    nodes = (centers, starts, offsets, sin_c, shift, weights)
-    for a in (centers, starts, offsets, *sin_c, shift, weights):
-        a.setflags(write=False)
-    return nodes
-
-
-# Largest (orders x blocks x 16) complex intermediate of one chunk (16 MB).
-_QUAD_CHUNK_ELEMS = 1 << 20
-# Largest array of one pass of a band quadrature: (x values x nodes) cells
-# of the node cube, (orders x panels) of the coefficient faces, (orders x
-# sinh nodes) of the decaying part; 512 KB of doubles.
-_BAND_CELLS = 1 << 16
-
-
-def _panel_count(nu_max: float, x: float) -> int:
-    """Oscillatory panels for orders up to nu_max at argument x: each
-    panel sees at most ~2 oscillations of cos(nu t - x sin t)."""
-    return max(4, int(math.ceil((nu_max + x) / 4.0)) + 2)
+def _recur(x, s: float, k_top) -> np.ndarray:
+    """Rows k = -1 .. K of y_k, proportional to J_{k+s}(x), by the backward
+    recurrence y_{k-1} = (2(k+s)/x) y_k - y_{k+1} from y_{k_top+1} = 0,
+    y_{k_top} = 1 (Miller's algorithm, DLMF 3.6(iii)).  x is a float with
+    an int k_top and K = k_top, or an array of x, one column each, with an
+    array of starts, K their largest and zeros above a column's own start.
+    A column's arithmetic is the same whatever the other columns are: each
+    coefficient 2(k+s)/x is one division, and a column that passes 2^600 is
+    scaled by 2^-600 (exact), with every row of it stored before."""
+    steps = np.arange(int(np.max(k_top)) + 1)
+    # step j of a column takes k = k_top - j; a column that starts below K
+    # is done before the last step and then only flips signs (coefficient 0)
+    coefs = (2.0 * (s - np.subtract.outer(steps, k_top))) / x
+    if np.ndim(x) == 0:
+        coefs = coefs.tolist()
+    else:
+        coefs[steps[:, None] > k_top] = 0.0
+    nxt = 0.0 * x
+    cur = nxt + 1.0
+    vals = [cur]
+    marks = []
+    for lo in range(0, len(coefs), 16):
+        for a in coefs[lo : lo + 16]:
+            nxt, cur = cur, a * cur - nxt
+            vals.append(cur)
+        # 16 steps grow a column by at most (max|a| + 1)^16, far below 2^423;
+        # for a float x, big is a bool, and np.any of a bool is slow
+        big = abs(cur) > _RESCALE
+        if big is not False and np.any(big):
+            f = 1.0 / _RESCALE if big is True else np.where(big, 1.0 / _RESCALE, 1.0)
+            nxt, cur = nxt * f, cur * f
+            marks.append((len(vals), f))
+    out = np.array(vals)
+    with np.errstate(under="ignore"):
+        for end, f in marks:
+            out[:end] *= f
+    if np.ndim(x) == 0:
+        return out[::-1]
+    # row k + 1 of column c is step k_top[c] - k
+    rows = k_top - np.arange(-1, out.shape[0] - 1)[:, None]
+    return np.where(rows >= 0, np.take_along_axis(out, np.maximum(rows, 0), axis=0), 0.0)
 
 
-def _node_cis(x, s_hi, s_lo, shift):
-    """cos and sin of x sin t on the node cube of _panel_nodes, the phase
-    formed as x sin c (an exact product of x with the double-double sin c)
-    plus x (sin t - sin c), a double of size <= x*w/2 <= 2*pi.  x is a
-    float, giving the (K, Q, 16) cube, or an (n, 1, 1) array, giving one
-    cube per x."""
-    p_hi, p_lo = two_prod(x, s_hi)
-    phi_hi, phi_lo = two_sum(p_hi[..., None], np.expand_dims(x, -1) * shift)
-    phi_lo += (p_lo + x * s_lo)[..., None]
-    return _cos_sin_split(phi_hi, phi_lo)
+def _fsum_columns(a: np.ndarray):
+    """math.fsum down the rows of a, column by column."""
+    if a.ndim == 1:
+        return math.fsum(a.tolist())
+    return np.array([math.fsum(col) for col in a.T.tolist()])
+
+
+def _j_half_orders(x, n_lo: int, n_hi: int) -> np.ndarray:
+    """J_{n/2}(x) for n = n_lo .. n_hi, n_lo >= -2*_TAPS, as rows; x is a
+    float, or an array with one column per entry, and a column is bitwise
+    what its x alone gives.  Integer orders come from one Miller recurrence
+    normalized by J_0 + 2 sum_k J_{2k} = 1, half-integer orders from
+    another normalized by the closed forms J_{-1/2} = A cos x,
+    J_{1/2} = A sin x, A = sqrt(2/(pi x)), fitted as a pair.  Both start at
+    max(n_hi/2, 2x + 20) + 30 + 12 x^{1/3}: above x, and for the
+    quadrature region (every order below 2x, so n_hi/2 <= 2x + 20) a
+    function of x alone, so one-x batches and bands share their samples.
+    Below -1/2: J_{-k} = (-1)^k J_k, and J_{-k-1/2} = (-1)^{k+1} Y_{k+1/2}
+    with Y by forward recurrence from Y_{-1/2} = A sin x, Y_{1/2} = -A cos x."""
+    k_top = np.ceil(np.maximum(0.5 * n_hi, 2.0 * x + 20.0) + 30.0 + 12.0 * np.cbrt(x)).astype(int)
+    y_int = _recur(x, 0.0, k_top)
+    y_half = _recur(x, 0.5, k_top)
+    amp = np.sqrt(2.0 / (math.pi * x))
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    # row r is n = r - 2: integer orders k = n/2 on even rows, k + 1/2 on odd
+    full = np.empty((2 * y_int.shape[0],) + y_int.shape[1:])
+    full[0::2] = y_int / _fsum_columns(np.concatenate((y_int[1:2], 2.0 * y_int[3::2])))
+    full[1::2] = y_half * (amp / (y_half[0] * cos_x + y_half[1] * sin_x))
+    out = full[max(n_lo, -2) + 2 : n_hi + 3]
+    if n_lo >= -2:
+        return out
+    ys = [amp * sin_x, -amp * cos_x]  # Y_{k+1/2} at index k + 1
+    for k in range(1, (1 - n_lo) // 2):
+        ys.append((2.0 * k - 1.0) / x * ys[-1] - ys[-2])
+    neg = []
+    for n in range(n_lo, -2):
+        if n % 2 == 0:
+            neg.append(full[2 - n] if n % 4 == 0 else -full[2 - n])
+        else:
+            k = (-1 - n) // 2
+            neg.append(ys[k + 1] if k % 2 else -ys[k + 1])
+    return np.concatenate((np.array(neg), out))
 
 
 def _sinh_nodes(x_lo: float, x_hi: float):
@@ -362,43 +435,51 @@ def _sinh_nodes(x_lo: float, x_hi: float):
     return np.concatenate(t_nodes), np.concatenate(w_nodes)
 
 
+def _half_integers(n_lo: int, n_hi: int):
+    """The half-integer orders k + 1/2 among the n/2, n = n_lo .. n_hi: the
+    offset of the first, and sin(pi (k + 1/2)) = (-1)^k of each."""
+    first = 1 - n_lo % 2
+    k = np.arange(n_lo + first - 1, n_hi, 2) // 2
+    return first, 1.0 - 2.0 * (k % 2)
+
+
+def _laplace_lattice(s0: float, count: int, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_t g_t e^{-s t} at the orders s = s0 + i, i < count, from
+    count/16 + 16 rows of exponentials: e^{-(s0 + 16a + b) t} =
+    e^{-(s0 + 16a) t} e^{-b t}."""
+    with np.errstate(under="ignore"):
+        left = np.exp(np.multiply.outer(s0 + 16.0 * np.arange(-(-count // 16)), -t)) * g
+        right = np.exp(np.multiply.outer(np.arange(16.0), -t))
+    return (left @ right.T).ravel()[:count]
+
+
 def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
-    # Oscillatory part (1/pi) int_0^pi cos(nu t - x sin t) dt, on panels
-    # sized so each sees at most ~2 oscillations, written with the node
-    # split t = a_r + b_q + o_k of _panel_nodes:
-    #     Re sum_{r,q,k} e^{i nu a_r} e^{i nu b_q} e^{i nu o_k} E_rqk,
-    #     E = (weight / pi) e^{-i x sin t}.
-    # Per chunk of orders the sum over r is one complex product
-    # (orders x K) @ (K x Q*16); the sums over q and k are contractions
-    # against the other two faces.  Face phases nu*s are exact
-    # double-double products.  Error model: module docstring.
-    n_panels = _panel_count(float(np.max(nus)), x)
-    centers, starts, offsets, (s_hi, s_lo), shift, weights = _panel_nodes(n_panels)
-    cos_phi, sin_phi = _node_cis(x, s_hi, s_lo, shift)
-    e = np.empty(cos_phi.shape, dtype=complex)  # (K, Q, 16)
-    e.real = cos_phi * weights
-    e.imag = -sin_phi * weights
-    n_blocks = starts.shape[0]
-    e_mat = e.reshape(centers.shape[0], n_blocks * 16)
+    # The four steps of the module docstring: pure-J samples at every
+    # half-order a window reads; Anger samples, the decaying part added at
+    # the half-integers; the sinc series; and each order's own decaying
+    # part subtracted.  An order with 2 nu an integer is its J sample.
+    # Orders go in chunks of _CHUNK, so each chunk's arrays stay in cache.
+    centres = np.rint(2.0 * nus)
+    n_lo = int(np.min(centres)) - _TAPS
+    samples = _j_half_orders(x, n_lo, int(np.max(centres)) + _TAPS)
+    t_flat, w_flat = _sinh_nodes(x, x)
+    g = np.exp(-x * np.sinh(t_flat)) * w_flat
+    first, sign = _half_integers(n_lo, n_lo + samples.shape[0] - 1)
+    decay = _laplace_lattice(0.5 * (n_lo + first), sign.shape[0], t_flat, g)
+    anger = samples.copy()
+    anger[first::2] += sign * decay / math.pi
+    windows = sliding_window_view(anger, 2 * _TAPS + 1)
 
     out = np.empty(nus.shape[0])
-    chunk = max(1, _QUAD_CHUNK_ELEMS // (n_blocks * 16))
-    for lo_i in range(0, nus.shape[0], chunk):
-        rows = slice(lo_i, lo_i + chunk)
-        t = (_unit_phases(nus[rows], centers) @ e_mat).reshape(-1, n_blocks, 16)
-        u = (_unit_phases(nus[rows], starts)[:, None, :] @ t)[:, 0, :]  # (m, 16)
-        v = _unit_phases(nus[rows], offsets)
-        out[rows] = np.sum(v.real * u.real - v.imag * u.imag, axis=1)
-
-    sp = _sinpi_array(nus)
-    if np.any(sp != 0.0):
-        t_flat, w_flat = _sinh_nodes(x, x)
-        g = np.exp(-x * np.sinh(t_flat)) * w_flat
+    for lo in range(0, nus.shape[0], _CHUNK):
+        part = nus[lo : lo + _CHUNK]
+        base, weights, frac = _sinc_window(part)
+        vals = np.einsum("ij,ij->i", weights, windows[base - n_lo])
         with np.errstate(under="ignore"):
-            for lo_i in range(0, nus.shape[0], 4096):
-                nu_c = nus[lo_i : lo_i + 4096]
-                second = np.exp(-np.outer(nu_c, t_flat)) @ g
-                out[lo_i : lo_i + 4096] -= sp[lo_i : lo_i + 4096] * second / math.pi
+            own = np.exp(np.multiply.outer(part[frac], -t_flat)) @ g
+        vals[frac] -= _sinpi_array(part[frac]) * own / math.pi
+        vals[~frac] = samples[base[~frac] + (_TAPS - n_lo)]
+        out[lo : lo + _CHUNK] = vals
 
     achieved = _quad_achieved(x)
     floor = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(out))
@@ -412,59 +493,45 @@ def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
 
 def _bessel_quad_band(nus: np.ndarray, coef: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum_m coef[j, m] J_{nus[m]}(x) for every x of the ascending array xs
-    and every row j of coef, unvalidated: the Schlaefli integral of the
-    sum, formed coefficient-first.  The nodes are those of a one-x batch
-    at the band's ends, as fine as any member's: panels for the largest
-    order at xs[-1], sinh nodes from _sinh_nodes(xs[0], xs[-1]).
+    and every row j of coef, unvalidated: the sinc series of the Anger
+    function, summed coefficient-first.  Once per band,
 
-        F_j(t) = sum_m coef[j, m] e^{i nu_m t}     on the panel nodes,
-        G_j(t) = sum_m coef[j, m] sin(pi nu_m)/pi e^{-nu_m t}   on the sinh nodes
+        H_j(n) = sum_m coef[j, m] W(nu_m - n/2)          on the samples,
+        K_j(t) = sum_{n = 2k+1} (-1)^k H_j(n) e^{-n t/2}
+                 - sum_m coef[j, m] sin(pi nu_m) e^{-nu_m t}
 
-    are formed once, F through the three trig faces of the node split;
-    each x then costs its node cube e^{-i x sin t} * weight and two
-    products with F, and one with G.  The caller checks the precision."""
-    n_rows = coef.shape[0]
-    n_panels = _panel_count(float(nus[-1]), float(xs[-1]))
-    centers, starts, offsets, (s_hi, s_lo), shift, weights = _panel_nodes(n_panels)
-    n_cells = centers.shape[0] * starts.shape[0]
-    f = np.zeros((n_rows * 16, n_cells), dtype=complex)
-    step = max(1, _BAND_CELLS // (n_cells + 16 * n_rows))
-    for lo in range(0, nus.shape[0], step):
-        part = nus[lo : lo + step]
-        cells = _unit_phases(part, centers)[:, :, None] * _unit_phases(part, starts)[:, None, :]
-        left = coef[:, lo : lo + step, None] * _unit_phases(part, offsets)  # (rows, m, 16)
-        f += left.transpose(0, 2, 1).reshape(n_rows * 16, -1) @ cells.reshape(part.shape[0], -1)
-    # (rows, 16, K, Q) to the (rows, K, Q, 16) node order, weights folded in
-    f = f.reshape(n_rows, 16, centers.shape[0], starts.shape[0]).transpose(0, 2, 3, 1)
-    f = f.reshape(n_rows, -1) * weights.reshape(-1)
-    f_re = np.ascontiguousarray(f.real.T)
-    f_im = np.ascontiguousarray(f.imag.T)
-    del f
+    with K_j on the nodes of _sinh_nodes(xs[0], xs[-1]).  Each x then costs
+    its pure-J samples, from recurrences run for a chunk of x at once, and
+    two products: sum_n H_j(n) J_{n/2}(x) + (1/pi) sum_t w_t e^{-x sinh t} K_j(t).
+    The caller checks the precision."""
+    base, weights, _ = _sinc_window(nus)
+    n_lo = int(np.min(base))
+    n_hi = int(np.max(base)) + 2 * _TAPS
+    n_samples = n_hi - n_lo + 1
+    idx = ((base - n_lo)[:, None] + np.arange(2 * _TAPS + 1)).ravel()
+    h = np.array(
+        [np.bincount(idx, weights=(row[:, None] * weights).ravel(), minlength=n_samples) for row in coef]
+    )
 
-    sp = _sinpi_array(nus)
-    decaying = bool(np.any(sp != 0.0))
-    if decaying:
-        t_flat, w_flat = _sinh_nodes(float(xs[0]), float(xs[-1]))
-        g = np.zeros((n_rows, t_flat.shape[0]))
-        step = max(1, _BAND_CELLS // t_flat.shape[0])
-        with np.errstate(under="ignore"):
-            for lo in range(0, nus.shape[0], step):
-                part = nus[lo : lo + step]
-                g += (coef[:, lo : lo + step] * sp[lo : lo + step]) @ np.exp(-np.outer(part, t_flat))
-        g = (g * (w_flat / math.pi)).T
-        sinh_t = np.sinh(t_flat)
+    first, sign = _half_integers(n_lo, n_hi)
+    orders = np.concatenate((0.5 * np.arange(n_lo + first, n_hi + 1, 2), nus))
+    parts = np.concatenate((h[:, first::2] * sign, -coef * _sinpi_array(nus)), axis=1)
+    t_flat, w_flat = _sinh_nodes(float(xs[0]), float(xs[-1]))
+    kern = np.zeros((coef.shape[0], t_flat.shape[0]))
+    with np.errstate(under="ignore"):
+        for lo in range(0, orders.shape[0], _CHUNK):
+            kern += parts[:, lo : lo + _CHUNK] @ np.exp(np.multiply.outer(orders[lo : lo + _CHUNK], -t_flat))
+    kern = (kern * (w_flat / math.pi)).T
+    h = np.ascontiguousarray(h.T)
+    sinh_t = np.sinh(t_flat)
 
-    out = np.empty((xs.shape[0], n_rows))
-    step = max(1, _BAND_CELLS // weights.size)
+    out = np.empty((xs.shape[0], coef.shape[0]))
+    step = max(1, _BAND_CELLS // n_samples)
     for lo in range(0, xs.shape[0], step):
         part = xs[lo : lo + step]
-        cos_phi, sin_phi = _node_cis(part[:, None, None], s_hi, s_lo, shift)
-        out[lo : lo + step] = (
-            cos_phi.reshape(part.shape[0], -1) @ f_re + sin_phi.reshape(part.shape[0], -1) @ f_im
-        )
-        if decaying:
-            with np.errstate(under="ignore"):
-                out[lo : lo + step] -= np.exp(-np.outer(part, sinh_t)) @ g
+        with np.errstate(under="ignore"):
+            decay = np.exp(np.multiply.outer(part, -sinh_t))
+        out[lo : lo + step] = _j_half_orders(part, n_lo, n_hi).T @ h + decay @ kern
     return out
 
 
@@ -488,11 +555,11 @@ def bessel_j(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def bessel_j_many(nus: np.ndarray, x: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """J_nu(x) for an array of orders at one argument.
+    """J_nu(x) for an array of orders at one argument, in any order.
 
     Same per-order contract as bessel_j; orders in the quadrature region
-    share one panel grid (sized by the largest order) so series evaluation
-    over many orders stays O(total nodes).
+    share one set of recurrence samples (sized by the largest order), so
+    evaluation over many orders costs O(x + orders) sample work.
     """
     x = check_finite("x", x)
     if x < 0.0:

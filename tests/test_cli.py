@@ -371,6 +371,7 @@ def test_verify_config_file(capsys, tmp_path):
         '{"n": 3.9}',
         '{"tol": true}',
         '{"rho": 0.5,',
+        '{"workers": 2}',
     ],
 )
 def test_verify_malformed_config_exits_two(capsys, tmp_path, text):

@@ -207,17 +207,6 @@ def test_scan_rows_sorted_and_enveloped():
         assert row.env_general == envelope_general(params, row.x)
 
 
-def test_scan_deterministic_across_workers():
-    params = ConeParams(rho=0.7, n=3, c=0.0)
-    xs = [1.0, 2.5, 7.0, 19.0, 55.0]
-    phis = [0.0, math.pi / 2]
-    one = scan(params, xs, phis, tol=1e-10, workers=1)
-    two = scan(params, xs, phis, tol=1e-10, workers=2)
-    assert len(one.rows) == len(two.rows)
-    for a, b in zip(one.rows, two.rows):
-        assert a.value == b.value and a.x == b.x and a.phi == b.phi
-
-
 def test_scan_predictions_zero_for_large_radius():
     params = ConeParams(rho=1.5, n=3, c=0.0)
     table = scan(params, [1.0, 10.0], [0.0, math.pi / 2, math.pi], tol=1e-10, with_prediction=True)
@@ -277,8 +266,6 @@ def test_scan_validation():
         scan(params, [1.0, 1.0], [0.0])
     with pytest.raises(InputError):
         scan(params, [1.0], [4.0])
-    with pytest.raises(InputError):
-        scan(params, [1.0], [0.0], workers=0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from conekernel import (
     log_gamma,
 )
 from conekernel import specfun
-from conekernel._compensated import dd_cis
 from conekernel.specfun import _log_gamma_array, _sinpi_array, sinpi
 
 # ---------------------------------------------------------------------------
@@ -299,19 +298,6 @@ def test_sinpi_array_matches_scalar_bitwise():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_dd_cis_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    rng = np.random.default_rng(11)
-    hi = np.concatenate([rng.uniform(-0.1, 2.0 * math.pi, 300), np.arange(129) * (math.pi / 64)])
-    lo = rng.uniform(-1.0, 1.0, hi.size) * 1e-16 * np.abs(hi)
-    (c_hi, c_lo), (s_hi, s_lo) = dd_cis(hi, lo)
-    for i in range(hi.size):
-        t = mpmath.mpf(hi[i]) + mpmath.mpf(lo[i])
-        assert abs(mpmath.mpf(c_hi[i]) + mpmath.mpf(c_lo[i]) - mpmath.cos(t)) < 1e-20
-        assert abs(mpmath.mpf(s_hi[i]) + mpmath.mpf(s_lo[i]) - mpmath.sin(t)) < 1e-20
-
-
 # ---------------------------------------------------------------------------
 # Oracle sweep: bessel_j_many against scipy.special.jv under the documented
 # per-order contract |error| <= max(abs_tol, rel_tol * |J|).
@@ -340,11 +326,34 @@ def test_bessel_many_multi_chunk_batch_matches_scipy():
     special = pytest.importorskip("scipy.special")
     x = 3000.0
     nus = np.linspace(0.0, 5900.0, 4000)
-    n_panels = int(math.ceil((nus[-1] + x) / 4.0)) + 2
-    n_blocks = specfun._panel_nodes(n_panels)[1].shape[0]
-    assert nus.size > 2 * (specfun._QUAD_CHUNK_ELEMS // (16 * n_blocks))
     got = bessel_j_many(nus, x)
     assert _contract_ratio(got, special.jv(nus, x)) <= 1.0
+
+
+def _anger_oracle_orders(x):
+    """Orders that exercise every branch of the Anger-function sampling:
+    0 and 1e-12, integers and half-integers (whose samples are the values)
+    and their neighbours, nu < 20 (windows reaching negative samples), the
+    turning point nu ~ x and the edge of the quadrature region nu ~ 2x."""
+    nus = [
+        0.0, 1e-12, 1.0 - 1e-9, 1.0 + 1e-9, 7.0, 7.0 + 1e-9, 0.5 - 1e-10, 0.5 + 1e-10,
+        3.5, 3.5 + 1e-10, 2.3, 5.7, 9.9, 17.25, x - 0.3, x, x + 0.7, 1.9 * x, 2.0 * x - 1e-3,
+    ]
+    return np.array([v for v in nus if x > max(12.0, 0.5 * v)])
+
+
+@pytest.mark.parametrize("x", [12.01, 13.0, 150.0, 1500.0, 5000.0])
+def test_bessel_quad_matches_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    nus = _anger_oracle_orders(x)
+    ref = np.array([float(mpmath.besselj(mpmath.mpf(float(v)), mpmath.mpf(x))) for v in nus])
+    # one unsorted batch, and every order alone
+    perm = np.random.default_rng(5).permutation(nus.size)
+    batch = specfun._bessel_quad_batch(nus[perm], x, DEFAULT_TOL)
+    assert np.max(np.abs(batch - ref[perm])) <= 1e-15
+    single = np.array([bessel_j(float(v), x) for v in nus])
+    assert np.max(np.abs(single - ref)) <= 1e-15
 
 
 def test_bessel_quad_phase_noise_does_not_scale_with_x():
