@@ -329,12 +329,12 @@ def _sinc_window(nus: np.ndarray):
     return centre.astype(np.int64) - _TAPS, weights, frac
 
 
-def _recur(x, s: float, k_top) -> np.ndarray:
+def _recur(x, s, k_top) -> np.ndarray:
     """Rows k = -1 .. K of y_k, proportional to J_{k+s}(x), by the backward
     recurrence y_{k-1} = (2(k+s)/x) y_k - y_{k+1} from y_{k_top+1} = 0,
-    y_{k_top} = 1 (Miller's algorithm, DLMF 3.6(iii)).  x is a float with
-    an int k_top and K = k_top, or an array of x, one column each, with an
-    array of starts, K their largest and zeros above a column's own start.
+    y_{k_top} = 1 (Miller's algorithm, DLMF 3.6(iii)).  x, s and k_top are
+    scalars, with K = k_top, or arrays with one column per entry, with K
+    the largest start and zeros above a column's own start.
     A column's arithmetic is the same whatever the other columns are: each
     coefficient 2(k+s)/x is one division, and a column that passes 2^600 is
     scaled by 2^-600 (exact), with every row of it stored before."""
@@ -354,22 +354,26 @@ def _recur(x, s: float, k_top) -> np.ndarray:
         for a in coefs[lo : lo + 16]:
             nxt, cur = cur, a * cur - nxt
             vals.append(cur)
-        # 16 steps grow a column by at most (max|a| + 1)^16, far below 2^423;
-        # for a float x, big is a bool, and np.any of a bool is slow
+        # 16 steps grow a column by at most (max|a| + 1)^16, far below 2^423
+        # (|a| < 18 in the quadrature region); for a float x, big is a bool,
+        # and np.any of a bool is slow
         big = abs(cur) > _RESCALE
         if big is not False and np.any(big):
             f = 1.0 / _RESCALE if big is True else np.where(big, 1.0 / _RESCALE, 1.0)
             nxt, cur = nxt * f, cur * f
             marks.append((len(vals), f))
     out = np.array(vals)
+    del vals
     with np.errstate(under="ignore"):
         for end, f in marks:
             out[:end] *= f
     if np.ndim(x) == 0:
         return out[::-1]
     # row k + 1 of column c is step k_top[c] - k
-    rows = k_top - np.arange(-1, out.shape[0] - 1)[:, None]
-    return np.where(rows >= 0, np.take_along_axis(out, np.maximum(rows, 0), axis=0), 0.0)
+    rows = np.zeros(out.shape)
+    for c, top in enumerate(k_top.tolist()):
+        rows[: top + 2, c] = out[top + 1 :: -1, c]
+    return rows
 
 
 def _fsum_columns(a: np.ndarray):
@@ -392,8 +396,13 @@ def _j_half_orders(x, n_lo: int, n_hi: int) -> np.ndarray:
     Below -1/2: J_{-k} = (-1)^k J_k, and J_{-k-1/2} = (-1)^{k+1} Y_{k+1/2}
     with Y by forward recurrence from Y_{-1/2} = A sin x, Y_{1/2} = -A cos x."""
     k_top = np.ceil(np.maximum(0.5 * n_hi, 2.0 * x + 20.0) + 30.0 + 12.0 * np.cbrt(x)).astype(int)
-    y_int = _recur(x, 0.0, k_top)
-    y_half = _recur(x, 0.5, k_top)
+    if np.ndim(x) == 0:
+        x = float(x)  # a float, not a numpy scalar, keeps the recurrence in plain floats
+        y_int, y_half = _recur(x, 0.0, k_top), _recur(x, 0.5, k_top)
+    else:
+        # one loop for both recurrences: half as many array steps
+        both = _recur(np.tile(x, 2), np.repeat((0.0, 0.5), x.shape[0]), np.tile(k_top, 2))
+        y_int, y_half = np.split(both, 2, axis=1)
     amp = np.sqrt(2.0 / (math.pi * x))
     cos_x, sin_x = np.cos(x), np.sin(x)
     # row r is n = r - 2: integer orders k = n/2 on even rows, k + 1/2 on odd

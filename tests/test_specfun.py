@@ -356,6 +356,19 @@ def test_bessel_quad_matches_mpmath(x):
     assert np.max(np.abs(single - ref)) <= 1e-15
 
 
+def test_bessel_quad_band_matches_batch_near_twelve():
+    # direct band calls below any band a scan forms: windows that reach
+    # negative samples, and decaying parts at their largest
+    rng = np.random.default_rng(9)
+    nus = np.sort(rng.uniform(0.0, 24.0, 40))
+    coef = rng.normal(size=(3, 40))
+    xs = np.linspace(12.5, 14.0, 7)
+    band = specfun._bessel_quad_band(nus, coef, xs)
+    bound = 4.0 * 2.0**-52 * np.sum(np.abs(coef), axis=1)
+    for x, row in zip(xs, band):
+        assert np.all(np.abs(row - coef @ specfun._bessel_quad_batch(nus, x, DEFAULT_TOL)) <= bound)
+
+
 def test_bessel_quad_phase_noise_does_not_scale_with_x():
     # A double-precision x*sin(t) would put ~x*eps/2 (1.7e-13 at x = 1500)
     # of phase noise on every node, about 5e-16 rms in J; the double-double
