@@ -251,7 +251,7 @@ def _ladder(params: ConeParams, m_max: int, phis):
 
 def _groups(xs, truncated, nus, weight, cgs) -> list[list[int]]:
     """The x of a grid, as indices in ascending x, cut into runs that may
-    share one band quadrature over the orders [0, N_b), N_b = max M(x) + 1.
+    share one band over the orders [0, N_b), N_b = max M(x) + 1.
     A run grows while all three hold for every member:
       * its rounding scale eps * sum_{m < N_b} |a_m| stays within
         _BAND_GROWTH of its own eps * sum_{m <= M(x)} |a_m|, with
@@ -260,10 +260,7 @@ def _groups(xs, truncated, nus, weight, cgs) -> list[list[int]]:
         x, x > max(12, nu/2);
       * its quadrature precision needs no relative floor,
         _quad_achieved(x) <= abs_tol.
-    An x with series orders, or past that precision, is a run of its own.
-    Every test reads only the sorted x, their truncations and prefixes of
-    the ladder, so a contiguous sequence of whole runs, grouped again,
-    gives the same runs."""
+    An x with series orders, or past that precision, is a run of its own."""
     scale = np.cumsum(weight * np.max(np.abs(cgs), axis=0))
     abs_tol = DEFAULT_TOL.abs_tol
     runs: list[list[int]] = []
@@ -283,12 +280,6 @@ def _groups(xs, truncated, nus, weight, cgs) -> list[list[int]]:
         x_lo = x if eligible else None
         n_band, s_low = m_top + 1, scale[m_top]
     return runs
-
-
-def _scan_groups(params: ConeParams, xs, phis, truncated) -> list[list[int]]:
-    """_groups of a grid whose truncations are known."""
-    nus, _, weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
-    return _groups(xs, truncated, nus, weight, cgs)
 
 
 def _eval_grid(

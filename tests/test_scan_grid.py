@@ -18,7 +18,7 @@ from test_truncation_frozen import FROZEN_M, TRUNCATION_XS
 
 import conekernel.kernel_series as ks
 from conekernel import CapacityError, ConeParams, DomainError, eval_I_multi, make_grid, nu_many, scan
-from conekernel.kernel_series import _eval_grid, _scan_groups, _truncation, _truncations
+from conekernel.kernel_series import _eval_grid, _groups, _ladder, _truncation, _truncations
 from conekernel.specfun import gegenbauer_all
 
 EPS = 2.0**-52
@@ -60,6 +60,12 @@ def _bessel_path(params, x, tol):
     nus = nu_many(params, np.arange(m_top + 1))
     quad = x > np.maximum(12.0, 0.5 * nus)
     return "quad" if quad.all() else ("series" if not quad.any() else "mixed")
+
+
+def _scan_groups(params, xs, phis, truncated):
+    """The runs _eval_grid cuts a grid into, given its truncations."""
+    nus, _, weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
+    return _groups(xs, truncated, nus, weight, cgs)
 
 
 def _banded(params, xs, phis, tol):
