@@ -370,9 +370,9 @@ def test_bessel_quad_band_matches_batch_near_twelve():
 
 
 def test_bessel_quad_phase_noise_does_not_scale_with_x():
-    # A double-precision x*sin(t) would put ~x*eps/2 (1.7e-13 at x = 1500)
-    # of phase noise on every node, about 5e-16 rms in J; the double-double
-    # node phase keeps the rms error near 1e-16.
+    # A quadrature with a double-precision phase x*sin(t) would carry ~x*eps/2
+    # (1.7e-13 at x = 1500) of phase noise on every node, about 5e-16 rms in
+    # J; the recurrence samples keep the rms error below 1e-16.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     x = 1500.0
