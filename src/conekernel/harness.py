@@ -13,6 +13,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +124,12 @@ def make_grid(lo: float, hi: float, count: int, spacing: str = "log") -> np.ndar
     """Monotone evaluation grid: "log" (geometric) or "linear"."""
     if not (is_real(lo) and is_real(hi) and math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise InputError(f"grid needs finite 0 < lo < hi, got lo={lo}, hi={hi}")
-    if not isinstance(count, int) or count < 2:
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 2:
         raise InputError(f"grid count must be an integer >= 2, got {count!r}")
     if spacing == "log":
-        return np.geomspace(lo, hi, count)
+        return np.geomspace(lo, hi, int(count))
     if spacing == "linear":
-        return np.linspace(lo, hi, count)
+        return np.linspace(lo, hi, int(count))
     raise InputError(f'spacing must be "log" or "linear", got {spacing!r}')
 
 
@@ -153,7 +154,7 @@ def scan(
     row per angle) and each x's Bessel work is shared by all angles.
     Dense runs of x that need only quadrature orders are banded: the
     Bessel sinc series is summed coefficient-first once for the whole run,
-    so each x costs its Bessel samples and two products.  A value outside
+    so each x costs its Bessel samples and one product.  A value outside
     a band is bitwise the one eval_I_multi gives at that x; a value inside
     one differs from it by at most a few eps * sum_{m < N_b} |a_m| * x^{-d}
     (a_m = ((m+d)/d) max_phi |C_m^d(cos phi)|, N_b the band's order count).

@@ -16,13 +16,14 @@ times I(r1 r2 / (2t), phi).
 Every evaluation goes through one grid path, _eval_grid, which forms what
 does not depend on x once per grid.  A one-x call (eval_I, eval_I_multi)
 computes J_{nu_m}(x) order by order and sums the products exactly
-rounded.  In the Bessel quadrature region J comes from the Anger
-function's samples at half-integer orders (specfun).  On a dense grid,
-runs of x whose orders all lie in that region are banded: the m-sum is
-moved through the sampling series once per run
-(specfun._bessel_quad_band), so each x costs its samples and two
-products, in the spirit of the functional-calculus form of cone kernels
-(Cheeger & Taylor, CPAM 35, 1982).  A band value differs from the one-x
+rounded.  In the Bessel quadrature region J comes from the sinc series
+of its own samples at half-integer orders (specfun), with weights that
+depend on the order alone, built once per grid.  On a dense grid, runs
+of x whose orders all lie in that region are banded: the m-sum is moved
+through the sampling series once per run (specfun._bessel_quad_band),
+so each x costs its samples and one product, in the spirit of the
+functional-calculus form of cone kernels (Cheeger & Taylor, CPAM 35,
+1982).  A band value differs from the one-x
 value by a few eps * sum_{m < N_b} |a_m| x^{-d},
 |a_m| = ((m+d)/d) max_phi |C_m^d(cos phi)|, and bands are sized so that
 this scale stays within 1.25 times each x's own.
@@ -292,7 +293,8 @@ def _eval_grid(
     """The series at every x of xs and every angle of phis, unvalidated,
     as one list of per-angle results per x.  What does not depend on x is
     formed once: the truncation screen, the nu ladder and its phases up to
-    the largest M, and one Gegenbauer row per angle.
+    the largest M, one Gegenbauer row per angle, and the Bessel sinc window
+    over the longest run of quadrature orders (none if there is none).
 
     The x are visited in ascending order, in the runs of _groups.  A run
     of more than 2 x per angle is a band: its values come from one
@@ -312,6 +314,13 @@ def _eval_grid(
         truncated = [(int(terms), math.inf if c is None else c) for c in certified]
     nus, (phase_re, phase_im), weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
     scales = [x ** (-params.d) for x in xs]
+    # nu_m increases with m, so the quadrature orders (x > max(12, nu/2),
+    # as in bessel_j) are a prefix of the ladder; every Bessel batch and
+    # band reads a slice of one sinc window over the longest such prefix
+    n_quads = [
+        int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[: m + 1]))) for x, (m, _) in zip(xs, truncated)
+    ]
+    window = specfun._sinc_window(nus[: max(n_quads)]) if max(n_quads) else None
 
     results: list = [None] * len(xs)
     for run in _groups(xs, truncated, nus, weight, cgs):
@@ -321,7 +330,7 @@ def _eval_grid(
             # rows 2j and 2j + 1: the real and imaginary coefficients of angle j
             coef = np.stack((a * phase_re[:n_terms], a * phase_im[:n_terms]), axis=1)
             sums = specfun._bessel_quad_band(
-                nus[:n_terms], coef.reshape(-1, n_terms), np.array([xs[i] for i in run])
+                coef.reshape(-1, n_terms), np.array([xs[i] for i in run]), tuple(w[:n_terms] for w in window)
             )
             for i, row in zip(run, sums.tolist()):
                 s = scales[i]
@@ -336,14 +345,14 @@ def _eval_grid(
             x = xs[i]
             m_top, tail = truncated[i]
             n_terms = m_top + 1
-            # nu_m increases with m, so the quadrature orders (x > max(12,
-            # nu/2), as in bessel_j) are a prefix of the ladder
-            n_quad = int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[:n_terms])))
+            n_quad = n_quads[i]
             js = np.empty(n_terms)
             for m in range(n_quad, n_terms):
                 js[m] = specfun._bessel_series(float(nus[m]), x, DEFAULT_TOL)
             if n_quad:
-                js[:n_quad] = specfun._bessel_quad_batch(nus[:n_quad], x, DEFAULT_TOL)
+                js[:n_quad] = specfun._bessel_quad_batch(
+                    nus[:n_quad], x, DEFAULT_TOL, tuple(w[:n_quad] for w in window)
+                )
             amp = js * weight[:n_terms]
             out = []
             for cg in cgs:

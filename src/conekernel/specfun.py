@@ -9,16 +9,20 @@ Bessel evaluation strategy
 * ``x <= max(12, nu/2)``: ascending power series, accumulated in
   double-double arithmetic so the alternating-series cancellation near
   x ~ 12 costs no accuracy.
-* otherwise: samples of the Anger function (DLMF 11.10)
+* otherwise: the sinc series of J's own samples at half-integer orders.
+  By DLMF 10.9.6, J_nu = AJ_nu - sin(pi nu)/pi D_nu, with the Anger
+  function (DLMF 11.10) and a decaying part
 
-      AJ_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
-               = (1/(2 pi)) int_{-pi}^{pi} e^{i (nu t - x sin t)} dt,
+      AJ_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt,
+      D_nu(x) = int_0^inf e^{-nu t - x sinh t} dt.
 
-  which, as a function of nu, is entire, bounded by 1 on the real axis
-  and of exponential type pi: a band-limited signal, so its samples on
-  the half-integer grid nu = n/2 (twice the Nyquist rate) determine it.
-  With D_nu(x) = int_0^inf e^{-nu t - x sinh t} dt, DLMF 10.9.6 reads
-  J_nu = AJ_nu - sin(pi nu)/pi D_nu.  For one x:
+  As a function of nu, AJ_nu is entire, bounded by 1 on the real axis and
+  of exponential type pi: a band-limited signal, so its samples on the
+  half-integer grid nu = n/2 (twice the Nyquist rate) determine it.
+  sin(pi nu) D_nu is a superposition of e^{(+-i pi - t) nu} weighted by
+  e^{-x sinh t}, t >= 0, of the same type, so the same series reproduces
+  it, up to its growth at the negative orders a window reads (below).
+  For one x:
 
   1. J at every integer and half-integer order the windows read, from two
      Miller backward recurrences (DLMF 3.6(iii)) started at
@@ -29,45 +33,47 @@ Bessel evaluation strategy
      windows of orders below 20, are J_{-k} = (-1)^k J_k and
      J_{-k-1/2} = (-1)^{k+1} Y_{k+1/2}, Y by forward recurrence from
      Y_{-1/2} = A sin x, Y_{1/2} = -A cos x.
-  2. AJ_{k+1/2} = J_{k+1/2} + (-1)^k D_{k+1/2}(x)/pi, and AJ_k = J_k;
-     D is a Gauss quadrature on the dyadic nodes of ``_sinh_nodes``.
-  3. AJ_nu from the Gaussian-regularized sinc series on that grid (Qian,
+  2. J_nu from the Gaussian-regularized sinc series on that grid (Qian,
      Proc. AMS 131, 2003): the _TAPS = 40 samples on each side of 2 nu,
      weighted by sinc(2 nu - n) exp(-(2 nu - n)^2 / (2 sigma^2)),
-     sigma^2 = 2 * 40/pi.
-  4. J_nu = AJ_nu - sin(pi nu)/pi D_nu(x).  An order with 2 nu an integer
-     is its step-1 sample.
+     sigma^2 = 2 * 40/pi.  An order with 2 nu an integer is its sample.
+     The weights depend on nu alone (``_sinc_window``), so a grid builds
+     them once for its longest run of quadrature orders and each batch
+     and band reads a slice.
 
   Error model.  In the sample index u = 2 nu the signal has type pi/2, a
   gap of pi/2 below the grid's Nyquist band, and sigma^2 = 40/(pi/2)
   balances the two error terms of Qian's bound, which then decays like
-  exp(-(pi/2) 40/2) = exp(-10 pi) ~ 2e-14 times sup |AJ_nu| <= 1.  Measured
-  against mpmath the sinc series adds no visible error; what remains is
-  the samples' rounding.  Each recurrence coefficient 2(k+s)/x is one
-  division (a precomputed 2/x biases every step alike), and a column is
-  scaled by an exact power of two before it overflows.  In the
-  oscillatory range k < x the recurrence's rounding adds up like a random
-  walk, to about 2e-15/sqrt(x) rms absolute (some 13 ulps of J's
-  amplitude, measured at x in [800, 2000]); J errors are below 1e-16
-  rms at x = 1500.  ``_quad_achieved`` charges x*eps/2 + 5e-15, well above both.
-  The recurrence start depends on x alone in the quadrature region (every
-  order is below 2x), so a one-x batch and a band share their samples
-  bitwise.  Per x this costs O(x) for the recurrences and
-  O(orders * (81 + T)) for the windows and D_nu, T ~ 200 sinh nodes.
+  exp(-(pi/2) 40/2) = exp(-10 pi) ~ 2e-14 times the signal's size over
+  the window.  Each recurrence coefficient 2(k+s)/x is one division (a
+  precomputed 2/x biases every step alike), and a column is scaled by an
+  exact power of two before it overflows.  In the oscillatory range
+  k < x the recurrence's rounding adds up like a random walk, to about
+  2e-15/sqrt(x) rms absolute (some 13 ulps of J's amplitude, measured at
+  x in [800, 2000]); J errors are below 1e-16 rms at x = 1500.  At the
+  edge of the region the window of an order nu < 20 reads samples down
+  to J_{nu-20}, where D grows (D_{-s}(x) = int_0^inf e^{s t - x sinh t} dt
+  grows with s and falls with x): measured against 30-digit mpmath the error is at most 3.5e-15
+  at x -> 12+ (nu ~ 0.75), 1.2e-15 at x = 13 and 3.3e-16 at x = 14, and
+  at rounding level (<= 2.5e-16) from x = 15; for orders above 2 it is at
+  most 5.5e-16.  The power series carries up to 2.3e-15 at
+  x = 12 itself (orders near x).  ``_quad_achieved`` charges
+  x*eps/2 + 5e-15, above all of these.  The recurrence start depends on
+  x alone in the quadrature region (every order is below 2x), so a one-x
+  batch and a band share their samples bitwise.  Per x this costs O(x)
+  for the recurrences and O(orders * 81) for the windows.
 
 * a band of x, all in the quadrature region for every order of a series
   sum_m c_m J_{nu_m}(x), is summed coefficient-first
   (``_bessel_quad_band``): the sum is linear in the samples, so
 
-      H(n) = sum_m c_m W(nu_m - n/2),
-      K(t) = sum_{n = 2k+1} (-1)^k H(n) e^{-n t/2} - sum_m c_m sin(pi nu_m) e^{-nu_m t}
+      H(n) = sum_m c_m W(nu_m - n/2)
 
-  are formed once per band (K on nodes as fine as any member's own), and
-  each x then costs its J samples and two products,
-  sum_n H(n) J_{n/2}(x) + (1/pi) int_0^inf K(t) e^{-x sinh t} dt.  The
-  rounding of H and K is a few eps * sum_m |c_m|, so the caller bounds
-  the band (``kernel_series._groups``) to keep that scale close to each
-  member's own.
+  is formed once per band, and each x then costs its J samples and one
+  product, sum_n H(n) J_{n/2}(x).  The rounding of H is a few
+  eps * sum_m |c_m|, so the caller bounds the band
+  (``kernel_series._groups``) to keep that scale close to each member's
+  own.
 """
 
 from __future__ import annotations
@@ -93,7 +99,6 @@ __all__ = [
     "h1",
     "h1_prime",
     "acos_unit",
-    "sinpi",
 ]
 
 
@@ -110,8 +115,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Lanczos approximation, g = 7, 9 coefficients (double-precision classic).
 _LANCZOS_G = 7.0
@@ -201,24 +204,6 @@ def h1_prime(mu: float) -> float:
     return -acos_unit(mu)
 
 
-def sinpi(nu: float) -> float:
-    """sin(pi * nu), exact zero at integers and accurate for large nu."""
-    r = math.remainder(nu, 2.0)  # exact, r in [-1, 1]
-    if r == 0.0 or abs(r) == 1.0:
-        return 0.0
-    return math.sin(math.pi * r)
-
-
-def _sinpi_array(nus: np.ndarray) -> np.ndarray:
-    """sinpi over an array: the same exact reduction and the same sine."""
-    # nu - 2*rint(nu/2) is math.remainder(nu, 2.0): both round the quotient
-    # half-to-even and the subtraction is exact.
-    r = nus - 2.0 * np.rint(0.5 * nus)
-    out = np.sin(math.pi * r)
-    out[(r == 0.0) | (np.abs(r) == 1.0)] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bessel J, power-series region
 # ---------------------------------------------------------------------------
@@ -276,7 +261,7 @@ def _bessel_series(nu: float, x: float, tol: Tolerance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel J, quadrature region (x > max(12, nu/2)): Anger-function sampling
+# Bessel J, quadrature region (x > max(12, nu/2)): sinc series of J samples
 # ---------------------------------------------------------------------------
 
 def _quad_achieved(x: float) -> float:
@@ -295,7 +280,7 @@ _GAUSS = -0.25 * math.pi / _TAPS
 _RESCALE = 2.0**600
 # Largest (samples x arguments) array of one chunk of a band (1 MB).
 _BAND_CELLS = 1 << 17
-# Orders per pass of the per-order work: windows and decaying parts.
+# Orders per pass of the sinc series of a one-x batch.
 _CHUNK = 256
 
 
@@ -307,8 +292,9 @@ def _sinc_window(nus: np.ndarray):
         W(nu - n/2) = sinc(2 nu - n) exp(-(2 nu - n)^2 / (2 sigma^2)).
 
     An order with 2 nu an integer gets the single weight 1 on its own
-    sample.  Returns base, the (orders x taps) weights and the mask of the
-    orders with 2 nu not an integer."""
+    sample, so its series is that sample exactly.  Each row depends on its
+    own order alone, so a slice of the result is the result of the slice.
+    Returns base and the (orders x taps) weights."""
     u = 2.0 * nus
     centre = np.rint(u)
     f = u - centre  # exact, in [-1/2, 1/2]
@@ -323,10 +309,10 @@ def _sinc_window(nus: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         weights /= math.pi * z
         weights *= np.sin(math.pi * f)[:, None]
-    frac = f != 0.0
-    weights[~frac] = 0.0
-    weights[~frac, _TAPS] = 1.0
-    return centre.astype(np.int64) - _TAPS, weights, frac
+    whole = f == 0.0
+    weights[whole] = 0.0
+    weights[whole, _TAPS] = 1.0
+    return centre.astype(np.int64) - _TAPS, weights
 
 
 def _recur(x, s, k_top) -> np.ndarray:
@@ -425,70 +411,18 @@ def _j_half_orders(x, n_lo: int, n_hi: int) -> np.ndarray:
     return np.concatenate((np.array(neg), out))
 
 
-def _sinh_nodes(x_lo: float, x_hi: float):
-    """Gauss nodes and weights for int_0^inf exp(-nu t - x sinh t) dt at
-    every x in [x_lo, x_hi]: dyadic panels of [0, T], T = asinh(45/x_lo),
-    beyond which the integrand is below exp(-45).  Every dyadic panel is
-    as wide as its left end, whatever T is, and the count is that of x_hi
-    plus enough halvings that the first panel is no wider than x_hi's own."""
-    T = math.asinh(45.0 / x_lo)
-    n_dyadic = max(4, int(math.ceil(math.log2(x_hi))) + 2)
-    n_dyadic += int(math.ceil(math.log2(T / math.asinh(45.0 / x_hi))))
-    edges = [0.0] + [T * 2.0 ** (-j) for j in range(n_dyadic - 1, -1, -1)]
-    t_nodes = []
-    w_nodes = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        hw = 0.5 * (b - a)
-        t_nodes.append(0.5 * (a + b) + hw * _GL_NODES)
-        w_nodes.append(hw * _GL_WEIGHTS)
-    return np.concatenate(t_nodes), np.concatenate(w_nodes)
-
-
-def _half_integers(n_lo: int, n_hi: int):
-    """The half-integer orders k + 1/2 among the n/2, n = n_lo .. n_hi: the
-    offset of the first, and sin(pi (k + 1/2)) = (-1)^k of each."""
-    first = 1 - n_lo % 2
-    k = np.arange(n_lo + first - 1, n_hi, 2) // 2
-    return first, 1.0 - 2.0 * (k % 2)
-
-
-def _laplace_lattice(s0: float, count: int, t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_t g_t e^{-s t} at the orders s = s0 + i, i < count, from
-    count/16 + 16 rows of exponentials: e^{-(s0 + 16a + b) t} =
-    e^{-(s0 + 16a) t} e^{-b t}."""
-    with np.errstate(under="ignore"):
-        left = np.exp(np.multiply.outer(s0 + 16.0 * np.arange(-(-count // 16)), -t)) * g
-        right = np.exp(np.multiply.outer(np.arange(16.0), -t))
-    return (left @ right.T).ravel()[:count]
-
-
-def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
-    # The four steps of the module docstring: pure-J samples at every
-    # half-order a window reads; Anger samples, the decaying part added at
-    # the half-integers; the sinc series; and each order's own decaying
-    # part subtracted.  An order with 2 nu an integer is its J sample.
+def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance, window) -> np.ndarray:
+    # J at every half-order the windows read, then each order's sinc series;
+    # window is _sinc_window(nus), or an elementwise slice of a longer one.
     # Orders go in chunks of _CHUNK, so each chunk's arrays stay in cache.
-    centres = np.rint(2.0 * nus)
-    n_lo = int(np.min(centres)) - _TAPS
-    samples = _j_half_orders(x, n_lo, int(np.max(centres)) + _TAPS)
-    t_flat, w_flat = _sinh_nodes(x, x)
-    g = np.exp(-x * np.sinh(t_flat)) * w_flat
-    first, sign = _half_integers(n_lo, n_lo + samples.shape[0] - 1)
-    decay = _laplace_lattice(0.5 * (n_lo + first), sign.shape[0], t_flat, g)
-    anger = samples.copy()
-    anger[first::2] += sign * decay / math.pi
-    windows = sliding_window_view(anger, 2 * _TAPS + 1)
-
+    base, weights = window
+    n_lo = int(np.min(base))
+    samples = _j_half_orders(x, n_lo, int(np.max(base)) + 2 * _TAPS)
+    windows = sliding_window_view(samples, 2 * _TAPS + 1)
     out = np.empty(nus.shape[0])
     for lo in range(0, nus.shape[0], _CHUNK):
-        part = nus[lo : lo + _CHUNK]
-        base, weights, frac = _sinc_window(part)
-        vals = np.einsum("ij,ij->i", weights, windows[base - n_lo])
-        with np.errstate(under="ignore"):
-            own = np.exp(np.multiply.outer(part[frac], -t_flat)) @ g
-        vals[frac] -= _sinpi_array(part[frac]) * own / math.pi
-        vals[~frac] = samples[base[~frac] + (_TAPS - n_lo)]
-        out[lo : lo + _CHUNK] = vals
+        hi = lo + _CHUNK
+        out[lo:hi] = np.einsum("ij,ij->i", weights[lo:hi], windows[base[lo:hi] - n_lo])
 
     achieved = _quad_achieved(x)
     floor = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(out))
@@ -500,20 +434,18 @@ def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance) -> np.ndarray:
     return out
 
 
-def _bessel_quad_band(nus: np.ndarray, coef: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_m coef[j, m] J_{nus[m]}(x) for every x of the ascending array xs
-    and every row j of coef, unvalidated: the sinc series of the Anger
-    function, summed coefficient-first.  Once per band,
+def _bessel_quad_band(coef: np.ndarray, xs: np.ndarray, window) -> np.ndarray:
+    """sum_m coef[j, m] J_{nu_m}(x) for every x of the ascending array xs
+    and every row j of coef, unvalidated: the sinc series summed
+    coefficient-first.  window is _sinc_window of the orders nu_m, or an
+    elementwise slice of a longer one.  Once per band,
 
-        H_j(n) = sum_m coef[j, m] W(nu_m - n/2)          on the samples,
-        K_j(t) = sum_{n = 2k+1} (-1)^k H_j(n) e^{-n t/2}
-                 - sum_m coef[j, m] sin(pi nu_m) e^{-nu_m t}
+        H_j(n) = sum_m coef[j, m] W(nu_m - n/2)          on the samples;
 
-    with K_j on the nodes of _sinh_nodes(xs[0], xs[-1]).  Each x then costs
-    its pure-J samples, from recurrences run for a chunk of x at once, and
-    two products: sum_n H_j(n) J_{n/2}(x) + (1/pi) sum_t w_t e^{-x sinh t} K_j(t).
-    The caller checks the precision."""
-    base, weights, _ = _sinc_window(nus)
+    each x then costs its J samples, from recurrences run for a chunk of x
+    at once, and one product sum_n H_j(n) J_{n/2}(x).  The caller checks
+    the precision."""
+    base, weights = window
     n_lo = int(np.min(base))
     n_hi = int(np.max(base)) + 2 * _TAPS
     n_samples = n_hi - n_lo + 1
@@ -521,26 +453,12 @@ def _bessel_quad_band(nus: np.ndarray, coef: np.ndarray, xs: np.ndarray) -> np.n
     h = np.array(
         [np.bincount(idx, weights=(row[:, None] * weights).ravel(), minlength=n_samples) for row in coef]
     )
-
-    first, sign = _half_integers(n_lo, n_hi)
-    orders = np.concatenate((0.5 * np.arange(n_lo + first, n_hi + 1, 2), nus))
-    parts = np.concatenate((h[:, first::2] * sign, -coef * _sinpi_array(nus)), axis=1)
-    t_flat, w_flat = _sinh_nodes(float(xs[0]), float(xs[-1]))
-    kern = np.zeros((coef.shape[0], t_flat.shape[0]))
-    with np.errstate(under="ignore"):
-        for lo in range(0, orders.shape[0], _CHUNK):
-            kern += parts[:, lo : lo + _CHUNK] @ np.exp(np.multiply.outer(orders[lo : lo + _CHUNK], -t_flat))
-    kern = (kern * (w_flat / math.pi)).T
     h = np.ascontiguousarray(h.T)
-    sinh_t = np.sinh(t_flat)
 
     out = np.empty((xs.shape[0], coef.shape[0]))
     step = max(1, _BAND_CELLS // n_samples)
     for lo in range(0, xs.shape[0], step):
-        part = xs[lo : lo + step]
-        with np.errstate(under="ignore"):
-            decay = np.exp(np.multiply.outer(part, -sinh_t))
-        out[lo : lo + step] = _j_half_orders(part, n_lo, n_hi).T @ h + decay @ kern
+        out[lo : lo + step] = _j_half_orders(xs[lo : lo + step], n_lo, n_hi).T @ h
     return out
 
 
@@ -560,7 +478,8 @@ def bessel_j(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return 1.0 if nu == 0.0 else 0.0
     if x <= max(12.0, 0.5 * nu):
         return _bessel_series(nu, x, tol)
-    return float(_bessel_quad_batch(np.array([nu]), x, tol)[0])
+    nus = np.array([nu])
+    return float(_bessel_quad_batch(nus, x, tol, _sinc_window(nus))[0])
 
 
 def bessel_j_many(nus: np.ndarray, x: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -586,7 +505,8 @@ def bessel_j_many(nus: np.ndarray, x: float, tol: Tolerance = DEFAULT_TOL) -> np
     for i in np.nonzero(~quad_mask)[0]:
         out[i] = _bessel_series(float(nus[i]), x, tol)
     if np.any(quad_mask):
-        out[quad_mask] = _bessel_quad_batch(nus[quad_mask], x, tol)
+        quad = nus[quad_mask]
+        out[quad_mask] = _bessel_quad_batch(quad, x, tol, _sinc_window(quad))
     return out
 
 
@@ -627,16 +547,8 @@ def gegenbauer_c(m: int, d: float, t: float) -> float:
 def gegenbauer_all(m_max: int, d: float, t: float) -> np.ndarray:
     """C_m^d(t) for m = 0..m_max as one array (single recurrence pass)."""
     m_max, d, t = _check_gegenbauer_args(m_max, d, t)
-    out = np.empty(m_max + 1)
-    out[0] = 1.0
-    if m_max == 0:
-        return out
-    out[1] = 2.0 * d * t
-    c_prev = 1.0
-    c_cur = out[1]
+    # the row is built in plain floats: NumPy scalar arithmetic is slower
+    row = [1.0, 2.0 * d * t][: m_max + 1]
     for j in range(2, m_max + 1):
-        c_prev, c_cur = c_cur, (
-            2.0 * t * (j + d - 1.0) * c_cur - (j + 2.0 * d - 2.0) * c_prev
-        ) / j
-        out[j] = c_cur
-    return out
+        row.append((2.0 * t * (j + d - 1.0) * row[-1] - (j + 2.0 * d - 2.0) * row[-2]) / j)
+    return np.array(row)

@@ -57,6 +57,15 @@ def test_make_grid_refuses_non_numbers():
         make_grid(1.0, 2.0, "3")
 
 
+def test_make_grid_takes_any_integral_count():
+    for count in (np.int64(5), np.int32(5), np.uint8(5)):
+        for spacing in ("log", "linear"):
+            assert np.array_equal(make_grid(1.0, 2.0, count, spacing), make_grid(1.0, 2.0, 5, spacing))
+    for count in (True, np.int64(1), 5.0):
+        with pytest.raises(InputError, match="grid count must be an integer"):
+            make_grid(1.0, 2.0, count)
+
+
 # ---------------------------------------------------------------------------
 # Decay-exponent regression.
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from conekernel import (
     log_gamma,
 )
 from conekernel import specfun
-from conekernel.specfun import _log_gamma_array, _sinpi_array, sinpi
+from conekernel.specfun import _log_gamma_array
 
 # ---------------------------------------------------------------------------
 # Bessel J: frozen extended-precision spot values covering every code region
@@ -203,9 +203,12 @@ def test_gegenbauer_domain_errors():
 
 
 def test_gegenbauer_all_matches_scalar():
-    vals = gegenbauer_all(25, 1.5, -0.37)
-    for m in (0, 1, 7, 25):
-        assert vals[m] == gegenbauer_c(m, 1.5, -0.37)
+    for t in (-1.0, -0.37, 1.0):
+        for m_max in (0, 1, 25):
+            vals = gegenbauer_all(m_max, 1.5, t)
+            want = np.array([gegenbauer_c(m, 1.5, t) for m in range(m_max + 1)])
+            assert vals.shape == (m_max + 1,)
+            assert np.array_equal(vals.view(np.int64), want.view(np.int64)), (t, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +284,23 @@ def test_log_gamma_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# Array helpers of the quadrature path.
+# The sinc window of the quadrature path.
 # ---------------------------------------------------------------------------
-def test_sinpi_array_matches_scalar_bitwise():
+def test_sinc_window_slice_is_window_of_slice():
+    # A scan builds one window for its longest ladder prefix and hands each
+    # batch and band a slice, so a slice must be bitwise a window of its own.
     rng = np.random.default_rng(7)
-    nus = np.concatenate([
-        rng.uniform(-50.0, 5000.0, 2000),
-        np.arange(-8.0, 9.0),
-        np.arange(-8.0, 9.0) + 0.5,
-        rng.integers(0, 10**6, 50).astype(float),
-        rng.integers(0, 10**6, 50) + 0.5,
-        [0.0, -0.0, 1e-300, 2.0**52 + 1.0, 2.0**53],
-    ])
-    got = _sinpi_array(nus)
-    want = np.array([sinpi(float(v)) for v in nus])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    nus = np.sort(np.concatenate([
+        rng.uniform(0.0, 5000.0, 997),
+        np.arange(0.0, 9.0),
+        np.arange(0.0, 9.0) + 0.5,
+        [1e-12, 0.5 + 1e-10, 2.0**20 + 0.25],
+    ]))
+    base, weights = specfun._sinc_window(nus)
+    for n in (1, 2, 3, 17, 255, 256, 257, 600, nus.size):
+        b, w = specfun._sinc_window(nus[:n])
+        assert np.array_equal(b, base[:n])
+        assert np.array_equal(w.view(np.int64), weights[:n].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +335,8 @@ def test_bessel_many_multi_chunk_batch_matches_scipy():
     assert _contract_ratio(got, special.jv(nus, x)) <= 1.0
 
 
-def _anger_oracle_orders(x):
-    """Orders that exercise every branch of the Anger-function sampling:
+def _sinc_oracle_orders(x):
+    """Orders that exercise every branch of the sinc series of J's samples:
     0 and 1e-12, integers and half-integers (whose samples are the values)
     and their neighbours, nu < 20 (windows reaching negative samples), the
     turning point nu ~ x and the edge of the quadrature region nu ~ 2x."""
@@ -346,27 +351,46 @@ def _anger_oracle_orders(x):
 def test_bessel_quad_matches_mpmath(x):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    nus = _anger_oracle_orders(x)
+    nus = _sinc_oracle_orders(x)
     ref = np.array([float(mpmath.besselj(mpmath.mpf(float(v)), mpmath.mpf(x))) for v in nus])
     # one unsorted batch, and every order alone
     perm = np.random.default_rng(5).permutation(nus.size)
-    batch = specfun._bessel_quad_batch(nus[perm], x, DEFAULT_TOL)
+    batch = specfun._bessel_quad_batch(nus[perm], x, DEFAULT_TOL, specfun._sinc_window(nus[perm]))
     assert np.max(np.abs(batch - ref[perm])) <= 1e-15
     single = np.array([bessel_j(float(v), x) for v in nus])
     assert np.max(np.abs(single - ref)) <= 1e-15
 
 
+@pytest.mark.parametrize("x", [12.0001, 12.3, 13.0, 14.0, 16.0])
+def test_bessel_quad_edge_matches_mpmath(x):
+    # The sinc series reads J's own samples, down to J_{nu-20}: for nu < 2
+    # near x = 12 the windows reach +-Y_{k+1/2} at k ~ 19, large enough that
+    # their Gaussian tails show (measured up to 3.5e-15 at x -> 12+,
+    # nu = 0.75).  Below x = 14 that is allowed the 5e-15 that
+    # _quad_achieved charges on top of x*eps/2; from x = 14 on, the 1e-15 of
+    # the test above.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(int(1000 * x))
+    nus = np.concatenate((np.linspace(0.0, 3.0, 61), rng.uniform(0.0, 2.0 * x, 40)))
+    ref = np.array([float(mpmath.besselj(mpmath.mpf(float(v)), mpmath.mpf(x))) for v in nus])
+    got = specfun._bessel_quad_batch(nus, x, DEFAULT_TOL, specfun._sinc_window(nus))
+    assert np.max(np.abs(got - ref)) <= (5e-15 if x < 14.0 else 1e-15)
+
+
 def test_bessel_quad_band_matches_batch_near_twelve():
     # direct band calls below any band a scan forms: windows that reach
-    # negative samples, and decaying parts at their largest
+    # negative samples, where J's samples stray furthest from the Anger
+    # function's (its decaying part D is largest near x = 12)
     rng = np.random.default_rng(9)
     nus = np.sort(rng.uniform(0.0, 24.0, 40))
     coef = rng.normal(size=(3, 40))
     xs = np.linspace(12.5, 14.0, 7)
-    band = specfun._bessel_quad_band(nus, coef, xs)
+    window = specfun._sinc_window(nus)
+    band = specfun._bessel_quad_band(coef, xs, window)
     bound = 4.0 * 2.0**-52 * np.sum(np.abs(coef), axis=1)
     for x, row in zip(xs, band):
-        assert np.all(np.abs(row - coef @ specfun._bessel_quad_batch(nus, x, DEFAULT_TOL)) <= bound)
+        assert np.all(np.abs(row - coef @ specfun._bessel_quad_batch(nus, x, DEFAULT_TOL, window)) <= bound)
 
 
 def test_bessel_quad_phase_noise_does_not_scale_with_x():
