@@ -53,15 +53,16 @@ Bessel evaluation strategy
   x in [800, 2000]); J errors are below 1e-16 rms at x = 1500.  At the
   edge of the region the window of an order nu < 20 reads samples down
   to J_{nu-20}, where D grows (D_{-s}(x) = int_0^inf e^{s t - x sinh t} dt
-  grows with s and falls with x): measured against 30-digit mpmath the error is at most 3.5e-15
-  at x -> 12+ (nu ~ 0.75), 1.2e-15 at x = 13 and 3.3e-16 at x = 14, and
-  at rounding level (<= 2.5e-16) from x = 15; for orders above 2 it is at
-  most 5.5e-16.  The power series carries up to 2.3e-15 at
-  x = 12 itself (orders near x).  ``_quad_achieved`` charges
-  x*eps/2 + 5e-15, above all of these.  The recurrence start depends on
-  x alone in the quadrature region (every order is below 2x), so a one-x
-  batch and a band share their samples bitwise.  Per x this costs O(x)
-  for the recurrences and O(orders * 81) for the windows.
+  grows with s and falls with x).  Measured against 30-digit mpmath, the
+  error there is at most 3.5e-15 at x -> 12+ (nu ~ 0.75), 1.2e-15 at
+  x = 13 and 3.3e-16 at x = 14, and at rounding level (<= 2.5e-16) from
+  x = 15; for orders above 2 it is at most 5.5e-16.  The power series
+  carries up to 2.3e-15 at x = 12 itself (orders near x).
+  ``_quad_achieved`` charges x*eps/2 + 5e-15, above all of these.  The
+  recurrence start depends on x alone in the quadrature region (every
+  order is below 2x), so a one-x batch and a band share their samples
+  bitwise.  Per x this costs O(x) for the recurrences and O(orders * 81)
+  for the windows.
 
 * a band of x, all in the quadrature region for every order of a series
   sum_m c_m J_{nu_m}(x), is summed coefficient-first

@@ -364,11 +364,11 @@ def test_bessel_quad_matches_mpmath(x):
 @pytest.mark.parametrize("x", [12.0001, 12.3, 13.0, 14.0, 16.0])
 def test_bessel_quad_edge_matches_mpmath(x):
     # The sinc series reads J's own samples, down to J_{nu-20}: for nu < 2
-    # near x = 12 the windows reach +-Y_{k+1/2} at k ~ 19, large enough that
-    # their Gaussian tails show (measured up to 3.5e-15 at x -> 12+,
-    # nu = 0.75).  Below x = 14 that is allowed the 5e-15 that
-    # _quad_achieved charges on top of x*eps/2; from x = 14 on, the 1e-15 of
-    # the test above.
+    # near x = 12 the windows reach +-Y_{k+1/2} at k ~ 19, large enough to
+    # show through the window's Gaussian tail (measured up to 3.5e-15 at
+    # x -> 12+, nu = 0.75).  Below x = 14 that is allowed the 5e-15 that
+    # _quad_achieved charges on top of x*eps/2; from x = 14 on, the 1e-15
+    # of the test above.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     rng = np.random.default_rng(int(1000 * x))
