@@ -281,8 +281,6 @@ _GAUSS = -0.25 * math.pi / _TAPS
 _RESCALE = 2.0**600
 # Largest (samples x arguments) array of one chunk of a band (1 MB).
 _BAND_CELLS = 1 << 17
-# Orders per pass of the sinc series of a one-x batch.
-_CHUNK = 256
 
 
 def _sinc_window(nus: np.ndarray):
@@ -415,15 +413,10 @@ def _j_half_orders(x, n_lo: int, n_hi: int) -> np.ndarray:
 def _bessel_quad_batch(nus: np.ndarray, x: float, tol: Tolerance, window) -> np.ndarray:
     # J at every half-order the windows read, then each order's sinc series;
     # window is _sinc_window(nus), or an elementwise slice of a longer one.
-    # Orders go in chunks of _CHUNK, so each chunk's arrays stay in cache.
     base, weights = window
     n_lo = int(np.min(base))
     samples = _j_half_orders(x, n_lo, int(np.max(base)) + 2 * _TAPS)
-    windows = sliding_window_view(samples, 2 * _TAPS + 1)
-    out = np.empty(nus.shape[0])
-    for lo in range(0, nus.shape[0], _CHUNK):
-        hi = lo + _CHUNK
-        out[lo:hi] = np.einsum("ij,ij->i", weights[lo:hi], windows[base[lo:hi] - n_lo])
+    out = np.einsum("ij,ij->i", weights, sliding_window_view(samples, 2 * _TAPS + 1)[base - n_lo])
 
     achieved = _quad_achieved(x)
     floor = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(out))
