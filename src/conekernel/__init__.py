@@ -68,14 +68,10 @@ from .specfun import (
     Tolerance,
     acos_unit,
     bessel_j,
-    bessel_j_many,
     gegenbauer_all,
-    gegenbauer_c,
-    h1,
-    h1_prime,
     log_gamma,
 )
-from .spectrum import ConeParams, nu, nu_asymptotic_gap, nu_many
+from .spectrum import ConeParams, nu_many
 
 __version__ = "0.1.0"
 
@@ -83,20 +79,14 @@ __all__ = [
     "__version__",
     # parameters and spectrum
     "ConeParams",
-    "nu",
     "nu_many",
-    "nu_asymptotic_gap",
     # special functions
     "Tolerance",
     "DEFAULT_TOL",
     "bessel_j",
-    "bessel_j_many",
-    "gegenbauer_c",
     "gegenbauer_all",
     "log_gamma",
     "acos_unit",
-    "h1",
-    "h1_prime",
     # series evaluation
     "KernelPoint",
     "PhysicalPoint",

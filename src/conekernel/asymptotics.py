@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from ._checks import check_endpoint_angle, check_positive, is_real
-from .critical_points import conjugate_frequencies, is_resonant_rho
+from .critical_points import _RESONANCE_TOL, conjugate_frequencies, is_resonant_rho
 from .errors import DomainError, UnsupportedRegimeError
 from .kernel_series import PhysicalPoint, kappa
 from .specfun import acos_unit, log_gamma
@@ -42,11 +42,9 @@ __all__ = [
     "dispersive_envelope",
 ]
 
-_RESONANCE_TOL = 1e-9
-
 
 def _check_regime(rho: float) -> None:
-    if is_resonant_rho(rho, _RESONANCE_TOL):
+    if is_resonant_rho(rho):
         k = round(1.0 / (2.0 * rho))
         raise UnsupportedRegimeError(
             f"large-x principal terms are undefined when 1/rho is an even "

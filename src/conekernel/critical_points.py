@@ -1,7 +1,8 @@
 """Stationary-phase critical sets of the kernel series.
 
 For branch signs sigma = (sigma1, sigma2) and winding q, the stationary
-points of the phase sigma1*h1(mu) + (sigma2*phi - pi/(2 rho) + 2 pi q)*mu
+points of the phase sigma1*h1(mu) + (sigma2*phi - pi/(2 rho) + 2 pi q)*mu,
+with h1(mu) = sqrt(1 - mu^2) - mu*arccos(mu) and so h1'(mu) = -arccos(mu),
 over mu in [0, 1] solve
 
     arccos(mu) = theta_q := sigma1*(sigma2*rho*phi - pi/2 + 2*pi*rho*q),
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from ._checks import check_angle, check_endpoint_angle, check_positive, check_sign
@@ -54,10 +56,11 @@ class BranchLabel:
     q: int
 
     def __post_init__(self) -> None:
-        check_sign("sigma1", self.sigma1)
-        check_sign("sigma2", self.sigma2)
-        if not isinstance(self.q, int) or isinstance(self.q, bool):
+        object.__setattr__(self, "sigma1", check_sign("sigma1", self.sigma1))
+        object.__setattr__(self, "sigma2", check_sign("sigma2", self.sigma2))
+        if not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool):
             raise DomainError(f"q must be an integer, got {self.q!r}")
+        object.__setattr__(self, "q", int(self.q))
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,17 @@ def conjugate_frequencies(rho: float, sigma1: int, phi0: float) -> list[Critical
     return out
 
 
-def is_resonant_rho(rho: float, tol: float = 1e-9) -> bool:
-    """True when 1/rho is within tol of an even integer (the regime the
+# How close 1/rho must come to an even integer to count as resonant.
+_RESONANCE_TOL = 1e-9
+
+
+def is_resonant_rho(rho: float) -> bool:
+    """True when 1/rho is within 1e-9 of an even integer (the regime the
     large-x asymptotics exclude)."""
     rho = check_positive("rho", rho)
     inv = 1.0 / rho
     k = round(inv / 2.0)
-    return k >= 1 and abs(inv - 2.0 * k) <= tol
+    return k >= 1 and abs(inv - 2.0 * k) <= _RESONANCE_TOL
 
 
 _CLASSIFY_PHIS = (

@@ -127,9 +127,9 @@ def make_grid(lo: float, hi: float, count: int, spacing: str = "log") -> np.ndar
     if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 2:
         raise InputError(f"grid count must be an integer >= 2, got {count!r}")
     if spacing == "log":
-        return np.geomspace(lo, hi, int(count))
+        return np.geomspace(float(lo), float(hi), int(count))
     if spacing == "linear":
-        return np.linspace(lo, hi, int(count))
+        return np.linspace(float(lo), float(hi), int(count))
     raise InputError(f'spacing must be "log" or "linear", got {spacing!r}')
 
 
@@ -253,7 +253,7 @@ def octave_maxima(xs, ys, bins_per_octave: int = 2):
         raise InputError("octave_maxima needs matching nonempty 1-d arrays")
     if not (np.all(np.isfinite(xs)) and np.all(xs > 0) and np.all(np.isfinite(ys))):
         raise InputError("octave_maxima needs finite data with positive xs")
-    if not isinstance(bins_per_octave, int) or bins_per_octave < 1:
+    if not isinstance(bins_per_octave, numbers.Integral) or isinstance(bins_per_octave, bool) or bins_per_octave < 1:
         raise InputError(f"bins_per_octave must be a positive integer, got {bins_per_octave!r}")
     idx = np.floor(np.log2(xs / xs.min()) * bins_per_octave).astype(int)
     out_x, out_y = [], []
@@ -265,15 +265,15 @@ def octave_maxima(xs, ys, bins_per_octave: int = 2):
     return np.asarray(out_x), np.asarray(out_y)
 
 
-def fit_decay_exponent(xs, ys, min_samples: int = _MIN_FIT_SAMPLES) -> FitResult:
+def fit_decay_exponent(xs, ys) -> FitResult:
     """Least-squares fit log y = slope*log x + intercept.  Requires at
-    least min_samples strictly positive samples at distinct xs."""
+    least _MIN_FIT_SAMPLES (8) strictly positive samples at distinct xs."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise InputError("fit needs matching 1-d arrays")
-    if xs.size < min_samples:
-        raise InputError(f"fit needs at least {min_samples} samples, got {xs.size}")
+    if xs.size < _MIN_FIT_SAMPLES:
+        raise InputError(f"fit needs at least {_MIN_FIT_SAMPLES} samples, got {xs.size}")
     if not (np.all(np.isfinite(xs)) and np.all(xs > 0)):
         raise InputError("fit xs must be positive and finite")
     if not (np.all(np.isfinite(ys)) and np.all(ys > 0)):
@@ -359,8 +359,9 @@ def verify_bound(table: ScanTable, which: str, threshold: float = 10.0) -> Bound
     pass iff sup <= threshold and inf >= 1/threshold."""
     if which not in ("interior", "general", "smallx"):
         raise DomainError(f'which must be "interior", "general" or "smallx", got {which!r}')
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold) and threshold > 1.0):
+    if not (is_real(threshold) and math.isfinite(threshold) and threshold > 1.0):
         raise DomainError(f"threshold must be a finite number > 1, got {threshold!r}")
+    threshold = float(threshold)
     if not table.rows:
         raise InputError("verify_bound needs a nonempty table")
     sup_ratio = -math.inf
@@ -377,7 +378,7 @@ def verify_bound(table: ScanTable, which: str, threshold: float = 10.0) -> Bound
         passed = passed and inf_ratio >= 1.0 / threshold
     return BoundReport(
         which=which,
-        threshold=float(threshold),
+        threshold=threshold,
         sup_ratio=sup_ratio,
         inf_ratio=inf_ratio,
         sup_x=sup_x,

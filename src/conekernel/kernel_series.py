@@ -121,7 +121,7 @@ def _log_tail_term(params: ConeParams, x: float, m: int, log_gamma_2d: float) ->
     """log of the m-th tail majorant term (endpoint Gegenbauer bound), given
     log_gamma(2d)."""
     # m >= 1 keeps every argument but 2d at or above 1, where log_gamma is
-    # the bare Lanczos sum; nu_m is spectrum.nu's arithmetic, unvalidated
+    # the bare Lanczos sum; nu_m is nu_many's arithmetic on one m, unvalidated
     d = params.d
     fm = float(m)
     nm = math.sqrt(fm * (fm + 2.0 * d) / (params.rho * params.rho) + d * d + params.c)
@@ -194,10 +194,11 @@ def _screen(params: ConeParams, xs, tol: float, m0: int, m1: int):
 
 
 def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
-    """(M, tail bound) of _truncation for every x, searched together: each
-    block of the schedule is screened for all still-uncertified x in one
-    grid pass, and each x's survivors are confirmed in order by the scalar
-    check, so every M and bound equals the one-x search."""
+    """(M, tail bound) for every x: the first m in [0, _TRUNCATION_CAP] that
+    _certify_tail accepts, with its tail bound.  Each block of the schedule
+    is screened for all still-uncertified x in one grid pass, and each x's
+    survivors are confirmed in order by the scalar check, so M and the
+    bound equal a scan of _certify_tail over m = 0, 1, 2, ... at that x."""
     found: list = [None] * len(xs)
     pending = list(range(len(xs)))
     log_gamma_2d = log_gamma(2.0 * params.d)
@@ -220,19 +221,11 @@ def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
     return found
 
 
-def _truncation(params: ConeParams, x: float, tol: float) -> tuple[int, float]:
-    """First m in [0, _TRUNCATION_CAP] that _certify_tail accepts, with its
-    tail bound: blocks of m are screened in bulk, then each surviving index
-    is confirmed in order by the scalar check, so M and the bound equal a
-    scan of _certify_tail over m = 0, 1, 2, ..."""
-    return _truncations(params, [x], tol)[0]
-
-
 def truncation_index(params: ConeParams, x: float, tol: float) -> int:
     """Smallest M whose certified analytic tail bound beyond M is < tol."""
     x = check_positive("x", x)
     tol = check_positive("tol", tol)
-    return _truncation(params, x, tol)[0]
+    return _truncations(params, [x], tol)[0][0]
 
 
 def _ladder(params: ConeParams, m_max: int, phis):

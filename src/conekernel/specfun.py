@@ -1,8 +1,8 @@
 """Special functions for the cone-kernel series.
 
 Everything here is self-contained (numpy only): real-order Bessel J,
-Gegenbauer polynomials, log-gamma, and the phase profile
-h1(mu) = sqrt(1 - mu^2) - mu*arccos(mu) together with its derivative.
+Gegenbauer polynomials, log-gamma, and an arccosine on [0, 1] that stays
+accurate near 1.
 
 Bessel evaluation strategy
 --------------------------
@@ -93,12 +93,8 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "bessel_j",
-    "bessel_j_many",
-    "gegenbauer_c",
     "gegenbauer_all",
     "log_gamma",
-    "h1",
-    "h1_prime",
     "acos_unit",
 ]
 
@@ -169,40 +165,6 @@ def acos_unit(mu: float) -> float:
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"acos_unit requires mu in [0, 1], got {mu}")
     return 2.0 * math.asin(math.sqrt(0.5 * (1.0 - mu)))
-
-
-def h1(mu: float) -> float:
-    """h1(mu) = sqrt(1 - mu^2) - mu*arccos(mu) on [0, 1].
-
-    Strictly decreasing from h1(0) = 1 to h1(1) = 0.  Near mu = 1 the two
-    terms cancel to O((1-mu)^{3/2}); there we switch to the series
-    sin t - t cos t = sum_{j>=1} (-1)^{j+1} t^{2j+1} (2j)/(2j+1)!
-    in t = arccos(mu).
-    """
-    mu = check_finite("mu", mu)
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"h1 requires mu in [0, 1], got {mu}")
-    t = acos_unit(mu)
-    if t >= 0.5:
-        return math.sqrt((1.0 - mu) * (1.0 + mu)) - mu * t
-    tt = t * t
-    s = 0.0
-    pw = t * tt      # t^{2j+1} at j = 1
-    fact = 6.0       # (2j+1)! at j = 1
-    j = 1
-    while True:
-        term = pw * (2.0 * j) / fact
-        s += term if j % 2 == 1 else -term
-        if term <= 1e-18 * abs(s) + 5e-324:
-            return s
-        j += 1
-        pw *= tt
-        fact *= (2.0 * j) * (2.0 * j + 1.0)
-
-
-def h1_prime(mu: float) -> float:
-    """Derivative h1'(mu) = -arccos(mu) on [0, 1]."""
-    return -acos_unit(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -476,40 +438,14 @@ def bessel_j(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     return float(_bessel_quad_batch(nus, x, tol, _sinc_window(nus))[0])
 
 
-def bessel_j_many(nus: np.ndarray, x: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """J_nu(x) for an array of orders at one argument, in any order.
-
-    Same per-order contract as bessel_j; orders in the quadrature region
-    share one set of recurrence samples (sized by the largest order), so
-    evaluation over many orders costs O(x + orders) sample work.
-    """
-    x = check_finite("x", x)
-    if x < 0.0:
-        raise DomainError(f"bessel_j_many requires x >= 0, got {x}")
-    nus = np.asarray(nus, dtype=float)
-    if nus.ndim != 1 or nus.shape[0] == 0:
-        raise DomainError("bessel_j_many requires a nonempty 1-d array of orders")
-    if not np.all(np.isfinite(nus)) or np.any(nus < 0.0):
-        raise DomainError("bessel_j_many requires finite orders >= 0")
-    out = np.empty(nus.shape[0])
-    if x == 0.0:
-        out[:] = np.where(nus == 0.0, 1.0, 0.0)
-        return out
-    quad_mask = x > np.maximum(12.0, 0.5 * nus)
-    for i in np.nonzero(~quad_mask)[0]:
-        out[i] = _bessel_series(float(nus[i]), x, tol)
-    if np.any(quad_mask):
-        quad = nus[quad_mask]
-        out[quad_mask] = _bessel_quad_batch(quad, x, tol, _sinc_window(quad))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gegenbauer polynomials
 # ---------------------------------------------------------------------------
 
-def _check_gegenbauer_args(m: int, d: float, t: float) -> tuple[int, float, float]:
-    m = check_nonnegative_int("Gegenbauer degree", m)
+def gegenbauer_all(m_max: int, d: float, t: float) -> np.ndarray:
+    """C_m^d(t) for m = 0..m_max as one array, by one pass of the
+    three-term recurrence m C_m = 2 t (m+d-1) C_{m-1} - (m+2d-2) C_{m-2}."""
+    m_max = check_nonnegative_int("Gegenbauer degree", m_max)
     d = check_finite("d", d)
     if d <= 0.0:
         raise DomainError(f"Gegenbauer weight d must be positive, got {d}")
@@ -520,27 +456,6 @@ def _check_gegenbauer_args(m: int, d: float, t: float) -> tuple[int, float, floa
     t = check_finite("t", t)
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"Gegenbauer argument must lie in [-1, 1], got {t}")
-    return m, d, t
-
-
-def gegenbauer_c(m: int, d: float, t: float) -> float:
-    """Gegenbauer polynomial C_m^d(t) by the three-term recurrence
-    m C_m = 2 t (m+d-1) C_{m-1} - (m+2d-2) C_{m-2}."""
-    m, d, t = _check_gegenbauer_args(m, d, t)
-    if m == 0:
-        return 1.0
-    c_prev = 1.0
-    c_cur = 2.0 * d * t
-    for j in range(2, m + 1):
-        c_prev, c_cur = c_cur, (
-            2.0 * t * (j + d - 1.0) * c_cur - (j + 2.0 * d - 2.0) * c_prev
-        ) / j
-    return c_cur
-
-
-def gegenbauer_all(m_max: int, d: float, t: float) -> np.ndarray:
-    """C_m^d(t) for m = 0..m_max as one array (single recurrence pass)."""
-    m_max, d, t = _check_gegenbauer_args(m_max, d, t)
     # the row is built in plain floats: NumPy scalar arithmetic is slower
     row = [1.0, 2.0 * d * t][: m_max + 1]
     for j in range(2, m_max + 1):

@@ -50,6 +50,10 @@ def test_branch_label_validation():
         BranchLabel(1, 2, 0)
     with pytest.raises(DomainError):
         BranchLabel(1, 1, 0.5)
+    with pytest.raises(DomainError, match="q must be an integer, got True"):
+        BranchLabel(1, 1, True)
+    label = BranchLabel(np.int64(1), -1, np.int64(3))
+    assert label == BranchLabel(1, -1, 3) and type(label.sigma1) is type(label.q) is int
 
 
 def test_branch_label_refuses_boolean_signs():

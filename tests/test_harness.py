@@ -138,6 +138,11 @@ def test_octave_maxima_validation():
         octave_maxima(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(InputError):
         octave_maxima(np.array([1.0, 2.0]), np.array([1.0, 1.0]), bins_per_octave=0)
+    with pytest.raises(InputError, match="bins_per_octave must be a positive integer, got True"):
+        octave_maxima(np.array([1.0, 2.0]), np.array([1.0, 1.0]), bins_per_octave=True)
+    xs, ys = np.geomspace(1.0, 100.0, 50), np.abs(np.sin(np.arange(50.0)))
+    for got, want in zip(octave_maxima(xs, ys, np.int64(3)), octave_maxima(xs, ys, 3)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Importing the package and its CLI loads NumPy only: no numpy.polynomial
-(it costs start-up time), and no scipy or mpmath (test-only oracles)."""
+(it costs start-up time), and no scipy or mpmath (test-only oracles).
+Every exported name resolves."""
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -29,3 +32,21 @@ def test_import_loads_numpy_only():
         if m == "numpy.polynomial" or m.startswith("numpy.polynomial.") or m.split(".")[0] in ("scipy", "mpmath")
     ]
     assert banned == []
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves a stale export fails here, not in a user's
+    # `from conekernel import *`
+    modules = [
+        importlib.import_module(f"conekernel.{info.name}")
+        for info in pkgutil.iter_modules(conekernel.__path__)
+        if not info.name.startswith("_")
+    ]
+    for module in [conekernel] + modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__
+    # the package re-exports each module's list; the CLI module is imported
+    # on its own and is not part of the package namespace
+    for module in modules:
+        if module.__name__ != "conekernel.cli":
+            assert set(getattr(module, "__all__", ())) <= set(conekernel.__all__), module.__name__

@@ -18,7 +18,7 @@ from test_truncation_frozen import FROZEN_M, TRUNCATION_XS
 
 import conekernel.kernel_series as ks
 from conekernel import CapacityError, ConeParams, DomainError, eval_I_multi, make_grid, nu_many, scan
-from conekernel.kernel_series import _eval_grid, _groups, _ladder, _truncation, _truncations
+from conekernel.kernel_series import _eval_grid, _groups, _ladder, _truncations
 from conekernel.specfun import gegenbauer_all
 
 EPS = 2.0**-52
@@ -55,8 +55,9 @@ def _grid_case(seed: int):
 
 
 def _bessel_path(params, x, tol):
-    """The kind of Bessel batch at x, by bessel_j_many's split."""
-    m_top, _ = _truncation(params, x, tol)
+    """The kind of Bessel batch at x: whether its orders lie in the
+    quadrature region x > max(12, nu/2), below it (power series), or both."""
+    m_top, _ = _truncations(params, [x], tol)[0]
     nus = nu_many(params, np.arange(m_top + 1))
     quad = x > np.maximum(12.0, 0.5 * nus)
     return "quad" if quad.all() else ("series" if not quad.any() else "mixed")
@@ -148,7 +149,7 @@ def test_batched_truncation_on_frozen_grid():
         params = ConeParams(rho=rho, n=n, c=c)
         batched = _truncations(params, list(TRUNCATION_XS), tol)
         assert [m for m, _ in batched] == list(frozen)
-        assert batched == [_truncation(params, x, tol) for x in TRUNCATION_XS]
+        assert batched == [_truncations(params, [x], tol)[0] for x in TRUNCATION_XS]
 
 
 @pytest.mark.parametrize("screen_elems", [ks._SCREEN_ELEMS, 64])
@@ -157,7 +158,7 @@ def test_batched_truncation_on_log_grid(monkeypatch, screen_elems, rho, n, c):
     # 64 cells per pass forces one x per screen pass
     params = ConeParams(rho=rho, n=n, c=c)
     xs = [float(x) for x in make_grid(1e-3, 2000.0, 600, "log")]
-    one_x = [_truncation(params, x, 1e-10) for x in xs]
+    one_x = [_truncations(params, [x], 1e-10)[0] for x in xs]
     monkeypatch.setattr(ks, "_SCREEN_ELEMS", screen_elems)
     assert _truncations(params, xs, 1e-10) == one_x
     assert _truncations(params, xs[::-1], 1e-10) == one_x[::-1]
@@ -171,7 +172,7 @@ def test_batched_truncation_capacity_error_at_first_failing_x(monkeypatch):
     xs = [1e-3, 0.3, 0.05, 1.0]
     with pytest.raises(CapacityError) as one_x:
         for x in xs:
-            _truncation(params, x, 1e-10)
+            _truncations(params, [x], 1e-10)
     assert str(one_x.value).endswith("at x = 0.3")
     with pytest.raises(CapacityError) as batched:
         _truncations(params, xs, 1e-10)

@@ -15,11 +15,7 @@ from conekernel import (
     Tolerance,
     acos_unit,
     bessel_j,
-    bessel_j_many,
     gegenbauer_all,
-    gegenbauer_c,
-    h1,
-    h1_prime,
     log_gamma,
 )
 from conekernel import specfun
@@ -90,15 +86,20 @@ def test_bessel_uniform_decay_bound():
             assert abs(bessel_j(nu, float(x))) <= 1.2 * x ** (-1.0 / 3.0)
 
 
+def _quad(nus, x):
+    """J at orders in the quadrature region of x, as one batch."""
+    return specfun._bessel_quad_batch(nus, x, DEFAULT_TOL, specfun._sinc_window(nus))
+
+
 def test_bessel_many_matches_scalar():
     # The batch path sizes one set of Bessel samples by its largest order, so
     # it agrees with the scalar path to sampling accuracy (not bitwise).
     nus = np.array([0.5, 1.5, 2.5, 7.5, 40.25, 120.0])
     x = 75.0
-    batch = bessel_j_many(nus, x)
+    batch = _quad(nus, x)
     for i, nu in enumerate(nus):
         assert batch[i] == pytest.approx(bessel_j(float(nu), x), abs=1e-13)
-    again = bessel_j_many(nus, x)
+    again = _quad(nus, x)
     assert np.array_equal(batch, again)
 
 
@@ -140,9 +141,9 @@ def test_tolerance_validation():
 # Gegenbauer polynomials.
 # ---------------------------------------------------------------------------
 def test_gegenbauer_low_degrees():
-    assert gegenbauer_c(0, 0.5, -0.7) == 1.0
-    assert gegenbauer_c(1, 0.5, 0.3) == pytest.approx(0.3, abs=1e-15)  # C_1 = 2 d t
-    assert gegenbauer_c(2, 1.0, 1.0) == pytest.approx(3.0, abs=1e-12)
+    assert gegenbauer_all(0, 0.5, -0.7)[0] == 1.0
+    assert gegenbauer_all(1, 0.5, 0.3)[1] == pytest.approx(0.3, abs=1e-15)  # C_1 = 2 d t
+    assert gegenbauer_all(2, 1.0, 1.0)[2] == pytest.approx(3.0, abs=1e-12)
 
 
 GEGENBAUER_SPOTS = [
@@ -155,7 +156,7 @@ GEGENBAUER_SPOTS = [
 
 @pytest.mark.parametrize("m,d,t,expected,tol", GEGENBAUER_SPOTS)
 def test_gegenbauer_spot_values(m, d, t, expected, tol):
-    assert abs(gegenbauer_c(m, d, t) - expected) <= tol
+    assert abs(gegenbauer_all(m, d, t)[m] - expected) <= tol
 
 
 def test_gegenbauer_endpoint_formula():
@@ -193,57 +194,37 @@ def test_gegenbauer_parity():
 
 def test_gegenbauer_domain_errors():
     with pytest.raises(DomainError):
-        gegenbauer_c(3, 0.5, 1.5)
+        gegenbauer_all(3, 0.5, 1.5)
     with pytest.raises(DomainError):
-        gegenbauer_c(3, -1.0, 0.5)
+        gegenbauer_all(3, -1.0, 0.5)
     with pytest.raises(DomainError):
-        gegenbauer_c(3, 11.0, 0.5)  # weights above 10 are refused (overflow envelope)
+        gegenbauer_all(3, 11.0, 0.5)  # weights above 10 are refused (overflow envelope)
     with pytest.raises(DomainError):
-        gegenbauer_c(-1, 0.5, 0.5)
+        gegenbauer_all(-1, 0.5, 0.5)
+
+
+def _gegenbauer_scalar(m, d, t):
+    # the three-term recurrence, one degree at a time
+    c_prev, c_cur = 1.0, 2.0 * d * t
+    if m == 0:
+        return c_prev
+    for j in range(2, m + 1):
+        c_prev, c_cur = c_cur, (2.0 * t * (j + d - 1.0) * c_cur - (j + 2.0 * d - 2.0) * c_prev) / j
+    return c_cur
 
 
 def test_gegenbauer_all_matches_scalar():
     for t in (-1.0, -0.37, 1.0):
         for m_max in (0, 1, 25):
             vals = gegenbauer_all(m_max, 1.5, t)
-            want = np.array([gegenbauer_c(m, 1.5, t) for m in range(m_max + 1)])
+            want = np.array([_gegenbauer_scalar(m, 1.5, t) for m in range(m_max + 1)])
             assert vals.shape == (m_max + 1,)
             assert np.array_equal(vals.view(np.int64), want.view(np.int64)), (t, m_max)
 
 
 # ---------------------------------------------------------------------------
-# h1(mu) = sqrt(1 - mu^2) - mu * acos(mu) and the stable arccosine.
+# The stable arccosine.
 # ---------------------------------------------------------------------------
-def test_h1_endpoints_and_frozen_values():
-    assert h1(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert h1(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert h1(0.5) == pytest.approx(0.34242662818613977369, rel=1e-14)
-    assert h1(0.3) == pytest.approx(0.57410809958309592983, rel=1e-14)
-    assert h1(0.99) == pytest.approx(0.00094328120547589895111, rel=1e-13)
-    assert h1(0.9999) == pytest.approx(9.4281375570287871634e-7, rel=1e-12)
-
-
-def test_h1_strictly_decreasing():
-    grid = np.linspace(0.0, 1.0, 201)
-    vals = [h1(float(m)) for m in grid]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_h1_derivative_matches_negative_arccos():
-    step = 1e-7
-    for mu in (0.1, 0.4, 0.75, 0.95):
-        fd = (h1(mu + step) - h1(mu - step)) / (2.0 * step)
-        assert abs(fd - h1_prime(mu)) <= 1e-6
-        assert h1_prime(mu) == -acos_unit(mu)
-
-
-def test_h1_domain_errors():
-    with pytest.raises(DomainError):
-        h1(-0.01)
-    with pytest.raises(DomainError):
-        h1(1.01)
-
-
 def test_acos_unit_near_one_is_accurate():
     # 2 asin(sqrt((1-mu)/2)) formulation keeps 12+ digits near mu = 1.
     assert acos_unit(1.0) == 0.0
@@ -304,7 +285,7 @@ def test_sinc_window_slice_is_window_of_slice():
 
 
 # ---------------------------------------------------------------------------
-# Oracle sweep: bessel_j_many against scipy.special.jv under the documented
+# Oracle sweep: J against scipy.special.jv under the documented
 # per-order contract |error| <= max(abs_tol, rel_tol * |J|).
 # ---------------------------------------------------------------------------
 def _contract_ratio(got, ref):
@@ -323,7 +304,10 @@ def test_bessel_many_matches_scipy_oracle():
             np.round(rng.uniform(0.0, 2.0 * x, 20)),  # integer orders
             np.round(rng.uniform(0.0, 2.0 * x, 20)) + 0.5,
         ]))
-        got = bessel_j_many(nus, x)
+        got = np.empty(nus.shape[0])
+        quad = x > np.maximum(12.0, 0.5 * nus)
+        got[quad] = _quad(nus[quad], x)
+        got[~quad] = [bessel_j(float(v), x) for v in nus[~quad]]  # power series
         assert _contract_ratio(got, special.jv(nus, x)) <= 1.0, x
 
 
@@ -331,7 +315,7 @@ def test_bessel_many_multi_chunk_batch_matches_scipy():
     special = pytest.importorskip("scipy.special")
     x = 3000.0
     nus = np.linspace(0.0, 5900.0, 4000)
-    got = bessel_j_many(nus, x)
+    got = _quad(nus, x)
     assert _contract_ratio(got, special.jv(nus, x)) <= 1.0
 
 
@@ -355,7 +339,7 @@ def test_bessel_quad_matches_mpmath(x):
     ref = np.array([float(mpmath.besselj(mpmath.mpf(float(v)), mpmath.mpf(x))) for v in nus])
     # one unsorted batch, and every order alone
     perm = np.random.default_rng(5).permutation(nus.size)
-    batch = specfun._bessel_quad_batch(nus[perm], x, DEFAULT_TOL, specfun._sinc_window(nus[perm]))
+    batch = _quad(nus[perm], x)
     assert np.max(np.abs(batch - ref[perm])) <= 1e-15
     single = np.array([bessel_j(float(v), x) for v in nus])
     assert np.max(np.abs(single - ref)) <= 1e-15
@@ -374,7 +358,7 @@ def test_bessel_quad_edge_matches_mpmath(x):
     rng = np.random.default_rng(int(1000 * x))
     nus = np.concatenate((np.linspace(0.0, 3.0, 61), rng.uniform(0.0, 2.0 * x, 40)))
     ref = np.array([float(mpmath.besselj(mpmath.mpf(float(v)), mpmath.mpf(x))) for v in nus])
-    got = specfun._bessel_quad_batch(nus, x, DEFAULT_TOL, specfun._sinc_window(nus))
+    got = _quad(nus, x)
     assert np.max(np.abs(got - ref)) <= (5e-15 if x < 14.0 else 1e-15)
 
 
@@ -402,5 +386,5 @@ def test_bessel_quad_phase_noise_does_not_scale_with_x():
     x = 1500.0
     nus = np.sort(np.random.default_rng(3).uniform(0.0, 2.0 * x, 50))
     ref = np.array([float(mpmath.besselj(v, x)) for v in nus])
-    err = bessel_j_many(nus, x) - ref
+    err = _quad(nus, x) - ref
     assert math.sqrt(float(np.mean(err**2))) <= 2.5e-16
