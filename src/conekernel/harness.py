@@ -150,8 +150,10 @@ def scan(
 ) -> ScanTable:
     """Evaluate the series on the product grid.  The x values go through
     one grid evaluation, kernel_series._eval_grid: what does not depend on
-    x is formed once (the truncation screen, the nu ladder, one Gegenbauer
-    row per angle) and each x's Bessel work is shared by all angles.
+    x (the truncation screen's terms, the nu ladder, one Gegenbauer row per
+    angle, the Bessel sinc window) is formed once per cone and reused by
+    later calls on the same cone, and each x's Bessel work is shared by all
+    angles.
     Dense runs of x that need only quadrature orders are banded: the
     Bessel sinc series is summed coefficient-first once for the whole run,
     so each x costs its Bessel samples and one product.  A value outside
@@ -257,7 +259,8 @@ def octave_maxima(xs, ys, bins_per_octave: int = 2):
         raise InputError(f"bins_per_octave must be a positive integer, got {bins_per_octave!r}")
     idx = np.floor(np.log2(xs / xs.min()) * bins_per_octave).astype(int)
     out_x, out_y = [], []
-    for b in np.unique(idx):
+    # sorted(set(...)), not np.unique: np.unique imports numpy.ma on first use
+    for b in sorted(set(idx.tolist())):
         sel = np.nonzero(idx == b)[0]
         best = sel[np.argmax(ys[sel])]
         out_x.append(xs[best])
@@ -278,7 +281,7 @@ def fit_decay_exponent(xs, ys) -> FitResult:
         raise InputError("fit xs must be positive and finite")
     if not (np.all(np.isfinite(ys)) and np.all(ys > 0)):
         raise InputError("fit ys must be positive and finite")
-    if np.unique(xs).size != xs.size:
+    if len(set(xs.tolist())) != xs.size:
         raise InputError("fit xs must be distinct")
     lx = np.log(xs)
     ly = np.log(ys)

@@ -13,12 +13,18 @@ is driven below the requested tolerance with a geometric-ratio closure.
 The physical propagator kernel at time t and radii r1, r2 is a prefactor
 times I(r1 r2 / (2t), phi).
 
-Every evaluation goes through one grid path, _eval_grid, which forms what
-does not depend on x once per grid.  A one-x call (eval_I, eval_I_multi)
-computes J_{nu_m}(x) order by order and sums the products exactly
-rounded.  In the Bessel quadrature region J comes from the sinc series
-of its own samples at half-integer orders (specfun), with weights that
-depend on the order alone, built once per grid.  On a dense grid, runs
+Every evaluation goes through one grid path, _eval_grid.  What does not
+depend on x (the nu ladder and its phases, the truncation search's
+per-order terms, one Gegenbauer row per angle, the Bessel sinc window) is
+formed once per cone and kept for later calls on it: a one-entry memo
+(_Cone) holds the last cone's prefixes, and a call slices them, growing
+them when it needs more orders.  Every slice is bitwise what a fresh build
+gives, so no value depends on what ran before.  The truncation search
+starts at an index below which no term can pass (_first_index).  A one-x
+call (eval_I, eval_I_multi) computes J_{nu_m}(x) order by order and sums
+the products exactly rounded.  In the Bessel quadrature region J comes
+from the sinc series of its own samples at half-integer orders
+(specfun), with weights that depend on the order alone.  On a dense grid, runs
 of x whose orders all lie in that region are banded: the m-sum is moved
 through the sampling series once per run (specfun._bessel_quad_band),
 so each x costs its samples and one product, in the spirit of the
@@ -77,6 +83,9 @@ _SCREEN_ELEMS = 1 << 18
 # A band's rounding scale eps * sum_{m < N_b} |a_m| may exceed each
 # member's own eps * sum_{m <= M(x)} |a_m| by at most this factor (_groups).
 _BAND_GROWTH = 1.25
+# The memo of a cone (_Cone) keeps orders m < _MEMO_ORDERS: at most about
+# 11 MB, nearly all of it the sinc window.
+_MEMO_ORDERS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -117,37 +126,22 @@ class SeriesResult:
     tail_bound: float
 
 
-def _log_tail_term(params: ConeParams, x: float, m: int, log_gamma_2d: float) -> float:
-    """log of the m-th tail majorant term (endpoint Gegenbauer bound), given
-    log_gamma(2d)."""
-    # m >= 1 keeps every argument but 2d at or above 1, where log_gamma is
-    # the bare Lanczos sum; nu_m is nu_many's arithmetic on one m, unvalidated
-    d = params.d
-    fm = float(m)
-    nm = math.sqrt(fm * (fm + 2.0 * d) / (params.rho * params.rho) + d * d + params.c)
-    log_c_end = _lanczos(m + 2.0 * d, math.log) - _lanczos(m + 1.0, math.log) - log_gamma_2d
-    return (
-        -d * math.log(x)
-        + math.log((m + d) / d)
-        + log_c_end
-        + nm * math.log(0.5 * x)
-        - _lanczos(nm + 1.0, math.log)
-    )
-
-
-def _certify_tail(
-    params: ConeParams, x: float, m: int, tol: float, log_gamma_2d: float | None = None
-) -> float | None:
+def _certify_tail(params: ConeParams, x: float, m: int, tol: float) -> float | None:
     """Certified bound on the tail beyond index m, or None if the
-    geometric closure does not yet apply.  A caller that certifies many
-    indices passes log_gamma(2d) in once."""
-    if log_gamma_2d is None:
-        log_gamma_2d = log_gamma(2.0 * params.d)
-    lt1 = _log_tail_term(params, x, m + 1, log_gamma_2d)
+    geometric closure does not yet apply.  The x-independent summands of
+    each log-tail term come from the cone's memo (_Cone.summands)."""
+    summands = _cone_of(params).summands
+    d = params.d
+
+    def log_term(j):  # log of the j-th tail majorant term (endpoint Gegenbauer bound)
+        log_weight, log_c_end, nm, lg_nu = summands(j)
+        return -d * math.log(x) + log_weight + log_c_end + nm * math.log(0.5 * x) - lg_nu
+
+    lt1 = log_term(m + 1)
     if lt1 >= math.log(tol) - math.log(10.0):
         return None
-    lt2 = _log_tail_term(params, x, m + 2, log_gamma_2d)
-    lt3 = _log_tail_term(params, x, m + 3, log_gamma_2d)
+    lt2 = log_term(m + 2)
+    lt3 = log_term(m + 3)
     r = max(math.exp(lt2 - lt1), math.exp(lt3 - lt2))
     if r > _RATIO_CAP:
         return None
@@ -155,31 +149,135 @@ def _certify_tail(
     return tail if tail < tol else None
 
 
-def _screen(params: ConeParams, xs, tol: float, m0: int, m1: int):
+def _per_order(params: ConeParams, lo: int, hi: int) -> tuple:
+    """For m in [lo, hi): nu_m, cos and sin of the phase -pi nu_m/2, the
+    weight (m+d)/d, and the screen's x-independent parts of a log-tail
+    term, log((m+d)/d) + log Gamma(m+2d) - log Gamma(m+1) and
+    log Gamma(nu_m + 1).  Every entry is elementwise in m."""
+    d = params.d
+    ms = np.arange(lo, hi)
+    fm = ms.astype(float)
+    nus = nu_many(params, ms)
+    # e^{-i pi nu/2}: reduce nu mod 4 exactly first (fmod is exact).
+    angles = -0.5 * math.pi * np.mod(nus, 4.0)
+    weight = (fm + d) / d
+    lg_top, lg_fact, lg_nu = _log_gamma_array(
+        np.concatenate((fm + 2.0 * d, fm + 1.0, nus + 1.0))
+    ).reshape(3, -1)
+    return nus, np.cos(angles), np.sin(angles), weight, np.log(weight) + (lg_top - lg_fact), lg_nu
+
+
+def _joined(have: tuple, new: tuple) -> tuple:
+    """Each array of have with its counterpart in new appended, read-only."""
+    out = tuple(np.concatenate(p) for p in zip(have, new))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _grown(k: int, need: int) -> int:
+    """The length a memo prefix of length k grows to when need entries are
+    asked for: at least twice k, and past _MEMO_ORDERS only if need is."""
+    return max(need, min(2 * k, _MEMO_ORDERS))
+
+
+class _Cone:
+    """The x-independent work of the last cone evaluated (_cone_of): the
+    arrays of _per_order and the Bessel sinc window, both prefixes over
+    m = 0, 1, ..., one Gegenbauer row per angle of the last call, and the
+    scalar summands of the truncation confirm.  A prefix grows by _grown,
+    so the calls on one cone refill it a few times.  Each entry is
+    elementwise in m or a sequential recurrence, so a slice is bitwise what
+    one pass over it gives.  Work past _MEMO_ORDERS is built per call and
+    not kept.  Arrays are read-only, and a call reads one snapshot of each
+    entry, so a concurrent refill never changes the data it holds."""
+
+    def __init__(self, params: ConeParams) -> None:
+        self.params = params
+        self.log_gamma_2d = log_gamma(2.0 * params.d)
+        self._orders = (np.empty(0),) * 6
+        self._window = (np.empty(0, np.int64), np.empty((0, 2 * specfun._TAPS + 1)))
+        self._rows: dict = {}
+        self._summands: dict = {}
+
+    def orders(self, lo: int, hi: int) -> tuple:
+        """_per_order(params, lo, hi)."""
+        if hi > _MEMO_ORDERS:
+            return _per_order(self.params, lo, hi)
+        have = self._orders
+        if len(have[0]) < hi:
+            k = len(have[0])
+            have = self._orders = _joined(have, _per_order(self.params, k, _grown(k, hi)))
+        return tuple(a[lo:hi] for a in have)
+
+    def window(self, n: int) -> tuple:
+        """specfun._sinc_window of nu_0 .. nu_{n-1}, or of a longer prefix."""
+        have = self._window
+        if len(have[0]) < n:
+            k, top = len(have[0]), _grown(len(have[0]), n)
+            have = _joined(have, specfun._sinc_window(self.orders(k, top)[0]))
+            if top <= _MEMO_ORDERS:
+                self._window = have
+        return have
+
+    def rows(self, phis, n: int) -> list:
+        """C_m^d(cos phi) for m < n, one row per angle of phis."""
+        rows = {phi: self._rows.get(phi) for phi in phis}
+        for phi, row in rows.items():
+            if row is None or len(row) < n:
+                size = _grown(0 if row is None else len(row), n)
+                row = rows[phi] = gegenbauer_all(size - 1, self.params.d, math.cos(phi))
+                row.flags.writeable = False
+        if n <= _MEMO_ORDERS:
+            self._rows = rows
+        return [rows[phi][:n] for phi in phis]
+
+    def summands(self, m: int) -> tuple:
+        """log((m+d)/d), log C_m^d(1), nu_m and log Gamma(nu_m + 1) as
+        scalars: the x-independent summands of the m-th log-tail term."""
+        out = self._summands.get(m)
+        if out is None:
+            # m >= 1 keeps every argument but 2d at or above 1, where log_gamma
+            # is the bare Lanczos sum; nu_m is nu_many's arithmetic on one m
+            d, fm = self.params.d, float(m)
+            nm = math.sqrt(fm * (fm + 2.0 * d) / (self.params.rho * self.params.rho) + d * d + self.params.c)
+            log_c_end = _lanczos(m + 2.0 * d, math.log) - _lanczos(m + 1.0, math.log) - self.log_gamma_2d
+            out = self._summands[m] = (math.log((m + d) / d), log_c_end, nm, _lanczos(nm + 1.0, math.log))
+        return out
+
+
+_cone: _Cone | None = None
+
+
+def _cone_of(params: ConeParams) -> _Cone:
+    """The memo of params' cone; a new one replaces the memo of another."""
+    global _cone
+    cone = _cone
+    if cone is None or cone.params != params:
+        cone = _cone = _Cone(params)
+    return cone
+
+
+def _screen(cone: _Cone, xs, tol: float, m0: int, m1: int):
     """For each x, the indices m in [m0, m1) that may pass _certify_tail,
     from array passes over the (x, m) grid.  Every test is biased towards
     passing by more than the array and scalar forms of the log-tail terms
     can differ, so every index that the scalar check accepts is kept; the
     caller confirms them in order.  The x-independent parts of the terms
-    are formed once; at most _SCREEN_ELEMS grid cells are held at a time."""
-    d = params.d
-    ms = np.arange(m0 + 1, m1 + 3)
-    fm = ms.astype(float)
-    nms = nu_many(params, ms)
-    lg_top, lg_fact, lg_nu = _log_gamma_array(
-        np.concatenate((fm + 2.0 * d, fm + 1.0, nms + 1.0))
-    ).reshape(3, -1)
-    base = np.log((fm + d) / d) + (lg_top - lg_fact)
+    come from the cone's memo; at most _SCREEN_ELEMS grid cells are held
+    at a time."""
+    d = cone.params.d
+    nms, _, _, _, base, lg_nu = cone.orders(m0 + 1, m1 + 3)
     # every summand, log-gamma internals included, is largest at the last m
-    size = float(nms[-1] + fm[-1]) + 2.0 * d + 10.0
+    size = float(nms[-1]) + float(m1 + 2) + 2.0 * d + 10.0
     lt_cut = math.log(tol) - math.log(10.0)
     found = []
-    rows = max(1, _SCREEN_ELEMS // ms.shape[0])
+    rows = max(1, _SCREEN_ELEMS // nms.shape[0])
     for lo in range(0, len(xs), rows):
         part = xs[lo : lo + rows]
         log_x = np.array([math.log(x) for x in part])[:, None]
         log_h = np.array([math.log(0.5 * x) for x in part])[:, None]
-        lt = base + (nms * log_h - lg_nu) + (-d * log_x - log_gamma(2.0 * d))
+        lt = base + (nms * log_h - lg_nu) + (-d * log_x - cone.log_gamma_2d)
         slack = _SCREEN_SLACK * (
             1.0 + np.abs(d * log_x) + float(nms[-1]) * np.abs(log_h) + 4.0 * size * math.log(size)
         )
@@ -193,23 +291,61 @@ def _screen(params: ConeParams, xs, tol: float, m0: int, m1: int):
     return found
 
 
+def _first_index(params: ConeParams, xs, tol: float) -> int:
+    """An index below which no m passes _certify_tail at any x of xs:
+    m0 = #{m >= 0 : nu_{m+1} <= x_min/2} when 2d >= 1, x_min >= 2 and
+    -d log x_max >= log(tol/10) + 1, and 0 otherwise.
+
+    Proof.  _certify_tail(m) needs log t_{m+1}(x) < log(tol/10), with
+    t_j(x) = x^{-d} ((j+d)/d) C_j^d(1) (x/2)^{nu_j} / Gamma(nu_j + 1).  For
+    m < m0, nu = nu_{m+1} <= x_min/2 <= x/2, and (x/2)^nu / Gamma(nu+1) >= 1:
+    for nu <= 1, Gamma(nu+1) <= 1 <= (x/2)^nu as x >= 2; for nu >= 1,
+    Gamma(nu+1) <= nu^nu (equality at 1, and the log of the ratio has
+    derivative psi(nu+1) - log nu - 1 < 1/(2 nu) - 1 < 0), and
+    nu^nu <= (x/2)^nu.  Also (j+d)/d >= 1, and C_j^d(1) = (2d)_j / j! >= 1
+    as 2d >= 1.  So t_{m+1}(x) >= x^{-d} >= x_max^{-d}, and log t exceeds
+    the cut by at least 1, far beyond the rounding of its computed form."""
+    d = params.d
+    x_min, x_max = min(xs), max(xs)
+    if 2.0 * d < 1.0 or x_min < 2.0 or -d * math.log(x_max) < math.log(tol) - math.log(10.0) + 1.0:
+        return 0
+    h = 0.5 * x_min
+    rho2 = params.rho * params.rho
+
+    def nu(j):  # nu_many's arithmetic on one index
+        return math.sqrt(j * (j + 2.0 * d) / rho2 + d * d + params.c)
+
+    # nu_j <= h solves to (j + d)^2 <= rho^2 (h^2 - d^2 - c) + d^2; the
+    # loops settle the rounding of that estimate against nu itself, and an
+    # m0 past the cap only needs to be past it
+    estimate = math.sqrt(max(0.0, rho2 * (h * h - d * d - params.c) + d * d)) - d
+    m0 = int(min(max(estimate, 0.0), _TRUNCATION_CAP + 1.0))
+    while m0 > 0 and nu(float(m0)) > h:
+        m0 -= 1
+    while m0 <= _TRUNCATION_CAP and nu(float(m0 + 1)) <= h:
+        m0 += 1
+    return m0
+
+
 def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
     """(M, tail bound) for every x: the first m in [0, _TRUNCATION_CAP] that
-    _certify_tail accepts, with its tail bound.  Each block of the schedule
+    _certify_tail accepts, with its tail bound.  The search starts at
+    _first_index, below which no m can pass.  Each block of the schedule
     is screened for all still-uncertified x in one grid pass, and each x's
-    survivors are confirmed in order by the scalar check, so M and the
-    bound equal a scan of _certify_tail over m = 0, 1, 2, ... at that x."""
+    survivors are confirmed in order by the scalar check, with the cone's
+    cached summands, so M and the bound equal a scan of _certify_tail over
+    m = 0, 1, 2, ... at that x."""
+    cone = _cone_of(params)
     found: list = [None] * len(xs)
     pending = list(range(len(xs)))
-    log_gamma_2d = log_gamma(2.0 * params.d)
-    m0 = 0
+    m0 = _first_index(params, xs, tol)
     block = _BLOCK_FIRST
     while pending and m0 <= _TRUNCATION_CAP:
         m1 = min(m0 + block, _TRUNCATION_CAP + 1)
-        candidates = _screen(params, [xs[i] for i in pending], tol, m0, m1)
+        candidates = _screen(cone, [xs[i] for i in pending], tol, m0, m1)
         for i, cands in zip(pending, candidates):
             for m in cands:
-                tail = _certify_tail(params, xs[i], int(m), tol, log_gamma_2d)
+                tail = _certify_tail(params, xs[i], int(m), tol)
                 if tail is not None:
                     found[i] = (int(m), tail)
                     break
@@ -230,17 +366,11 @@ def truncation_index(params: ConeParams, x: float, tol: float) -> int:
 
 def _ladder(params: ConeParams, m_max: int, phis):
     """nu_m, the phase e^{-i pi nu_m/2} as (cos, sin), the weight (m+d)/d
-    and one Gegenbauer row per angle, for m = 0..m_max.  Each entry is an
-    elementwise or sequential prefix computation, so a longer ladder,
-    sliced, is bitwise the shorter one."""
-    d = params.d
-    ms = np.arange(m_max + 1)
-    nus = nu_many(params, ms)
-    # e^{-i pi nu/2}: reduce nu mod 4 exactly first (fmod is exact).
-    angles = -0.5 * math.pi * np.mod(nus, 4.0)
-    weight = (ms + d) / d
-    cgs = [gegenbauer_all(m_max, d, math.cos(phi)) for phi in phis]
-    return nus, (np.cos(angles), np.sin(angles)), weight, cgs
+    and one Gegenbauer row per angle, for m = 0..m_max, sliced from the
+    cone's memo."""
+    cone = _cone_of(params)
+    nus, phase_re, phase_im, weight, _, _ = cone.orders(0, m_max + 1)
+    return nus, (phase_re, phase_im), weight, cone.rows(phis, m_max + 1)
 
 
 def _groups(xs, truncated, nus, weight, cgs) -> list[list[int]]:
@@ -285,9 +415,11 @@ def _eval_grid(
 ) -> list[list[SeriesResult]]:
     """The series at every x of xs and every angle of phis, unvalidated,
     as one list of per-angle results per x.  What does not depend on x is
-    formed once: the truncation screen, the nu ladder and its phases up to
-    the largest M, one Gegenbauer row per angle, and the Bessel sinc window
-    over the longest run of quadrature orders (none if there is none).
+    sliced from the cone's memo (_Cone), formed once per cone and grown
+    when this grid needs more: the truncation screen's terms, the nu
+    ladder and its phases up to the largest M, one Gegenbauer row per
+    angle, and the Bessel sinc window over the longest run of quadrature
+    orders (none if there is none).
 
     The x are visited in ascending order, in the runs of _groups.  A run
     of more than 2 x per angle is a band: its values come from one
@@ -302,8 +434,7 @@ def _eval_grid(
     if terms is None:
         truncated = _truncations(params, xs, tol)
     else:
-        log_gamma_2d = log_gamma(2.0 * params.d)
-        certified = [_certify_tail(params, x, int(terms), tol, log_gamma_2d) for x in xs]
+        certified = [_certify_tail(params, x, int(terms), tol) for x in xs]
         truncated = [(int(terms), math.inf if c is None else c) for c in certified]
     nus, (phase_re, phase_im), weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
     scales = [x ** (-params.d) for x in xs]
@@ -313,7 +444,7 @@ def _eval_grid(
     n_quads = [
         int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[: m + 1]))) for x, (m, _) in zip(xs, truncated)
     ]
-    window = specfun._sinc_window(nus[: max(n_quads)]) if max(n_quads) else None
+    window = _cone_of(params).window(max(n_quads)) if max(n_quads) else None
 
     results: list = [None] * len(xs)
     for run in _groups(xs, truncated, nus, weight, cgs):

@@ -37,9 +37,9 @@ Bessel evaluation strategy
      Proc. AMS 131, 2003): the _TAPS = 40 samples on each side of 2 nu,
      weighted by sinc(2 nu - n) exp(-(2 nu - n)^2 / (2 sigma^2)),
      sigma^2 = 2 * 40/pi.  An order with 2 nu an integer is its sample.
-     The weights depend on nu alone (``_sinc_window``), so a grid builds
-     them once for its longest run of quadrature orders and each batch
-     and band reads a slice.
+     The weights depend on nu alone (``_sinc_window``), so the series
+     builds them once per cone for its longest run of quadrature orders
+     and each batch and band reads a slice.
 
   Error model.  In the sample index u = 2 nu the signal has type pi/2, a
   gap of pi/2 below the grid's Nyquist band, and sigma^2 = 40/(pi/2)

@@ -1,6 +1,7 @@
 """Importing the package and its CLI loads NumPy only: no numpy.polynomial
 (it costs start-up time), and no scipy or mpmath (test-only oracles).
-Every exported name resolves."""
+The decay-fit helpers do not load numpy.ma either.  Every exported name
+resolves."""
 import importlib
 import json
 import os
@@ -11,27 +12,39 @@ import sys
 import conekernel
 
 
-def test_import_loads_numpy_only():
+def _modules_after(code: str) -> list:
+    """sys.modules of a fresh child that ran code."""
     # the child imports the package under test, installed or not
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(conekernel.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    code = (
-        "import json, sys\n"
-        "import conekernel, conekernel.cli\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
+    code = "import json, sys\n" + code + "print(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_numpy_only():
+    loaded = _modules_after("import conekernel, conekernel.cli\n")
     assert "numpy" in loaded
     banned = [
         m for m in loaded
         if m == "numpy.polynomial" or m.startswith("numpy.polynomial.") or m.split(".")[0] in ("scipy", "mpmath")
     ]
     assert banned == []
+
+
+def test_decay_fit_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma on its first call (NumPy 2.x), some 25 ms
+    loaded = _modules_after(
+        "from conekernel import harness\n"
+        "xs = [1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 8.0, 12.0, 16.0]\n"
+        "bx, by = harness.octave_maxima(xs, [x ** -0.5 for x in xs])\n"
+        "harness.fit_decay_exponent(xs, [x ** -0.5 for x in xs])\n"
+    )
+    assert not [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
 def test_every_exported_name_resolves():
