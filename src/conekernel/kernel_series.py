@@ -185,8 +185,9 @@ class _Cone:
     """The x-independent work of the last cone evaluated (_cone_of): the
     arrays of _per_order and the Bessel sinc window, both prefixes over
     m = 0, 1, ..., one Gegenbauer row per angle of the last call, and the
-    scalar summands of the truncation confirm.  A prefix grows by _grown,
-    so the calls on one cone refill it a few times.  Each entry is
+    scalar summands of the truncation confirm.  The per-order arrays and
+    the rows grow by _grown, so the calls on one cone refill them a few
+    times; the window grows to what a call needs.  Each entry is
     elementwise in m or a sequential recurrence, so a slice is bitwise what
     one pass over it gives.  Work past _MEMO_ORDERS is built per call and
     not kept.  Arrays are read-only, and a call reads one snapshot of each
@@ -214,9 +215,10 @@ class _Cone:
         """specfun._sinc_window of nu_0 .. nu_{n-1}, or of a longer prefix."""
         have = self._window
         if len(have[0]) < n:
-            k, top = len(have[0]), _grown(len(have[0]), n)
-            have = _joined(have, specfun._sinc_window(self.orders(k, top)[0]))
-            if top <= _MEMO_ORDERS:
+            # grown to n exactly: the window is the memo's bulk, and a refill
+            # computes only the rows it appends
+            have = _joined(have, specfun._sinc_window(self.orders(len(have[0]), n)[0]))
+            if n <= _MEMO_ORDERS:
                 self._window = have
         return have
 
@@ -310,19 +312,15 @@ def _first_index(params: ConeParams, xs, tol: float) -> int:
     if 2.0 * d < 1.0 or x_min < 2.0 or -d * math.log(x_max) < math.log(tol) - math.log(10.0) + 1.0:
         return 0
     h = 0.5 * x_min
-    rho2 = params.rho * params.rho
-
-    def nu(j):  # nu_many's arithmetic on one index
-        return math.sqrt(j * (j + 2.0 * d) / rho2 + d * d + params.c)
-
+    summands = _cone_of(params).summands  # nu_j is summands(j)[2]
     # nu_j <= h solves to (j + d)^2 <= rho^2 (h^2 - d^2 - c) + d^2; the
     # loops settle the rounding of that estimate against nu itself, and an
     # m0 past the cap only needs to be past it
-    estimate = math.sqrt(max(0.0, rho2 * (h * h - d * d - params.c) + d * d)) - d
+    estimate = math.sqrt(max(0.0, params.rho**2 * (h * h - d * d - params.c) + d * d)) - d
     m0 = int(min(max(estimate, 0.0), _TRUNCATION_CAP + 1.0))
-    while m0 > 0 and nu(float(m0)) > h:
+    while m0 > 0 and summands(m0)[2] > h:
         m0 -= 1
-    while m0 <= _TRUNCATION_CAP and nu(float(m0 + 1)) <= h:
+    while m0 <= _TRUNCATION_CAP and summands(m0 + 1)[2] <= h:
         m0 += 1
     return m0
 

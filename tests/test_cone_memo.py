@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_scan_grid import _result_bits
 
 import conekernel.kernel_series as ks
 from conekernel import ConeParams, eval_I_multi, make_grid, scan
@@ -29,7 +30,7 @@ BAND = [float(x) for x in make_grid(110.0, 116.0, 12, "linear")]
 
 
 def _bits(results) -> list:
-    return [(r.value.real.hex(), r.value.imag.hex(), r.terms_used, r.tail_bound.hex()) for r in results]
+    return [_result_bits(r) for r in results]
 
 
 CALLS = {

@@ -1,6 +1,6 @@
 """Importing the package and its CLI loads NumPy only: no numpy.polynomial
 (it costs start-up time), and no scipy or mpmath (test-only oracles).
-The decay-fit helpers do not load numpy.ma either.  Every exported name
+The growth-audit helpers do not load numpy.ma either.  Every exported name
 resolves."""
 import importlib
 import json
@@ -36,13 +36,17 @@ def test_import_loads_numpy_only():
     assert banned == []
 
 
-def test_decay_fit_does_not_load_numpy_ma():
-    # np.unique imports numpy.ma on its first call (NumPy 2.x), some 25 ms
+def test_growth_audit_does_not_load_numpy_ma():
+    # np.unique and np.median import numpy.ma on their first call (NumPy
+    # 2.x), some 25 ms
     loaded = _modules_after(
+        "import cmath\n"
         "from conekernel import harness\n"
         "xs = [1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 8.0, 12.0, 16.0]\n"
         "bx, by = harness.octave_maxima(xs, [x ** -0.5 for x in xs])\n"
         "harness.fit_decay_exponent(xs, [x ** -0.5 for x in xs])\n"
+        "grid = [0.1 * k for k in range(1, 301)]\n"
+        "harness.dominant_frequency(grid, [cmath.exp(2j * x) for x in grid])\n"
     )
     assert not [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
