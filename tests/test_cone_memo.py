@@ -87,7 +87,8 @@ def test_memo_arrays_are_read_only(cold):
     eval_I_multi(CONE, 30.0, PHIS)
     cone = ks._cone
     held = [*cone._orders, *cone._window, *cone._rows.values()]
-    handed = [*_ladder(CONE, 50, PHIS)[::2], *_ladder(CONE, 50, PHIS)[1], *_ladder(CONE, 50, PHIS)[3]]
+    nus, phases, weight, rows = _ladder(CONE, 50, PHIS)
+    handed = [nus, *phases, weight, *rows]
     for a in held + handed:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
