@@ -83,8 +83,7 @@ _SCREEN_ELEMS = 1 << 18
 # A band's rounding scale eps * sum_{m < N_b} |a_m| may exceed each
 # member's own eps * sum_{m <= M(x)} |a_m| by at most this factor (_groups).
 _BAND_GROWTH = 1.25
-# The memo of a cone (_Cone) keeps orders m < _MEMO_ORDERS: at most about
-# 11 MB, nearly all of it the sinc window.
+# The memo (_cone_of) keeps orders m < _MEMO_ORDERS.
 _MEMO_ORDERS = 1 << 14
 
 
@@ -130,7 +129,7 @@ def _certify_tail(params: ConeParams, x: float, m: int, tol: float) -> float | N
     """Certified bound on the tail beyond index m, or None if the
     geometric closure does not yet apply.  The x-independent summands of
     each log-tail term come from the cone's memo (_Cone.summands)."""
-    summands = _cone_of(params).summands
+    summands = _cone_of(params, m + 4).summands
     d = params.d
 
     def log_term(j):  # log of the j-th tail majorant term (endpoint Gegenbauer bound)
@@ -147,6 +146,12 @@ def _certify_tail(params: ConeParams, x: float, m: int, tol: float) -> float | N
         return None
     tail = math.exp(lt1) / (1.0 - r)
     return tail if tail < tol else None
+
+
+def _nu(params: ConeParams, m: int) -> float:
+    """nu_m by nu_many's arithmetic on one m, unvalidated."""
+    fm, d = float(m), params.d
+    return math.sqrt(fm * (fm + 2.0 * d) / (params.rho * params.rho) + d * d + params.c)
 
 
 def _per_order(params: ConeParams, lo: int, hi: int) -> tuple:
@@ -176,22 +181,19 @@ def _joined(have: tuple, new: tuple) -> tuple:
 
 
 def _grown(k: int, need: int) -> int:
-    """The length a memo prefix of length k grows to when need entries are
-    asked for: at least twice k, and past _MEMO_ORDERS only if need is."""
+    """The length a prefix of length k refills to: need, or up to twice k."""
     return max(need, min(2 * k, _MEMO_ORDERS))
 
 
 class _Cone:
-    """The x-independent work of the last cone evaluated (_cone_of): the
-    arrays of _per_order and the Bessel sinc window, both prefixes over
-    m = 0, 1, ..., one Gegenbauer row per angle of the last call, and the
-    scalar summands of the truncation confirm.  The per-order arrays and
-    the rows grow by _grown, so the calls on one cone refill them a few
-    times; the window grows to what a call needs.  Each entry is
-    elementwise in m or a sequential recurrence, so a slice is bitwise what
-    one pass over it gives.  Work past _MEMO_ORDERS is built per call and
-    not kept.  Arrays are read-only, and a call reads one snapshot of each
-    entry, so a concurrent refill never changes the data it holds."""
+    """The x-independent work on one cone: the _per_order arrays and the
+    sinc window as prefixes over m = 0, 1, ..., one Gegenbauer row per
+    angle of the last call, and the confirm's summands per m.  Each entry
+    is elementwise in m or a sequential recurrence, so a slice is bitwise
+    one pass over it.  Arrays and rows refill by _grown; the window, nearly
+    all of the memory, only to what a call needs (doubled, it held 2.2-2.8
+    MB more peak RSS over six thin-growth rounds).  Arrays are read-only
+    and a call reads one snapshot of each entry."""
 
     def __init__(self, params: ConeParams) -> None:
         self.params = params
@@ -202,7 +204,8 @@ class _Cone:
         self._summands: dict = {}
 
     def orders(self, lo: int, hi: int) -> tuple:
-        """_per_order(params, lo, hi)."""
+        """_per_order(params, lo, hi); a search block past the memo's
+        orders is built alone."""
         if hi > _MEMO_ORDERS:
             return _per_order(self.params, lo, hi)
         have = self._orders
@@ -215,11 +218,7 @@ class _Cone:
         """specfun._sinc_window of nu_0 .. nu_{n-1}, or of a longer prefix."""
         have = self._window
         if len(have[0]) < n:
-            # grown to n exactly: the window is the memo's bulk, and a refill
-            # computes only the rows it appends
-            have = _joined(have, specfun._sinc_window(self.orders(len(have[0]), n)[0]))
-            if n <= _MEMO_ORDERS:
-                self._window = have
+            have = self._window = _joined(have, specfun._sinc_window(self.orders(len(have[0]), n)[0]))
         return have
 
     def rows(self, phis, n: int) -> list:
@@ -230,8 +229,7 @@ class _Cone:
                 size = _grown(0 if row is None else len(row), n)
                 row = rows[phi] = gegenbauer_all(size - 1, self.params.d, math.cos(phi))
                 row.flags.writeable = False
-        if n <= _MEMO_ORDERS:
-            self._rows = rows
+        self._rows = rows
         return [rows[phi][:n] for phi in phis]
 
     def summands(self, m: int) -> tuple:
@@ -239,10 +237,9 @@ class _Cone:
         scalars: the x-independent summands of the m-th log-tail term."""
         out = self._summands.get(m)
         if out is None:
-            # m >= 1 keeps every argument but 2d at or above 1, where log_gamma
-            # is the bare Lanczos sum; nu_m is nu_many's arithmetic on one m
-            d, fm = self.params.d, float(m)
-            nm = math.sqrt(fm * (fm + 2.0 * d) / (self.params.rho * self.params.rho) + d * d + self.params.c)
+            # m >= 1 keeps every argument but 2d at or above 1, where
+            # log_gamma is the bare Lanczos sum
+            d, nm = self.params.d, _nu(self.params, m)
             log_c_end = _lanczos(m + 2.0 * d, math.log) - _lanczos(m + 1.0, math.log) - self.log_gamma_2d
             out = self._summands[m] = (math.log((m + d) / d), log_c_end, nm, _lanczos(nm + 1.0, math.log))
         return out
@@ -251,9 +248,13 @@ class _Cone:
 _cone: _Cone | None = None
 
 
-def _cone_of(params: ConeParams) -> _Cone:
-    """The memo of params' cone; a new one replaces the memo of another."""
+def _cone_of(params: ConeParams, n: int = 0) -> _Cone:
+    """The memo: the _Cone of the last cone evaluated.  A call that needs
+    n > _MEMO_ORDERS orders gets a _Cone that is not kept, so the memo
+    holds no order past the cap (at most about 11 MB)."""
     global _cone
+    if n > _MEMO_ORDERS:
+        return _Cone(params)
     cone = _cone
     if cone is None or cone.params != params:
         cone = _cone = _Cone(params)
@@ -312,15 +313,14 @@ def _first_index(params: ConeParams, xs, tol: float) -> int:
     if 2.0 * d < 1.0 or x_min < 2.0 or -d * math.log(x_max) < math.log(tol) - math.log(10.0) + 1.0:
         return 0
     h = 0.5 * x_min
-    summands = _cone_of(params).summands  # nu_j is summands(j)[2]
     # nu_j <= h solves to (j + d)^2 <= rho^2 (h^2 - d^2 - c) + d^2; the
     # loops settle the rounding of that estimate against nu itself, and an
     # m0 past the cap only needs to be past it
     estimate = math.sqrt(max(0.0, params.rho**2 * (h * h - d * d - params.c) + d * d)) - d
     m0 = int(min(max(estimate, 0.0), _TRUNCATION_CAP + 1.0))
-    while m0 > 0 and summands(m0)[2] > h:
+    while m0 > 0 and _nu(params, m0) > h:
         m0 -= 1
-    while m0 <= _TRUNCATION_CAP and summands(m0 + 1)[2] <= h:
+    while m0 <= _TRUNCATION_CAP and _nu(params, m0 + 1) <= h:
         m0 += 1
     return m0
 
@@ -366,7 +366,7 @@ def _ladder(params: ConeParams, m_max: int, phis):
     """nu_m, the phase e^{-i pi nu_m/2} as (cos, sin), the weight (m+d)/d
     and one Gegenbauer row per angle, for m = 0..m_max, sliced from the
     cone's memo."""
-    cone = _cone_of(params)
+    cone = _cone_of(params, m_max + 1)
     nus, phase_re, phase_im, weight, _, _ = cone.orders(0, m_max + 1)
     return nus, (phase_re, phase_im), weight, cone.rows(phis, m_max + 1)
 
@@ -442,7 +442,7 @@ def _eval_grid(
     n_quads = [
         int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[: m + 1]))) for x, (m, _) in zip(xs, truncated)
     ]
-    window = _cone_of(params).window(max(n_quads)) if max(n_quads) else None
+    window = _cone_of(params, max(n_quads)).window(max(n_quads)) if max(n_quads) else None
 
     results: list = [None] * len(xs)
     for run in _groups(xs, truncated, nus, weight, cgs):

@@ -104,6 +104,7 @@ def test_memo_keeps_no_order_past_its_cap(cold, monkeypatch):
         assert [_bits(eval_I_multi(CONE, x, PHIS)) for x in xs] == reference
     cone = ks._cone
     assert max(len(cone._orders[0]), len(cone._window[0]), *map(len, cone._rows.values())) <= 32
+    assert 0 < len(cone._summands) and max(cone._summands) < 32
 
 
 def test_threads_sharing_the_memo_get_cold_values(cold):

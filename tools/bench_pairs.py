@@ -1,16 +1,16 @@
 """Alternated benchmark pairs of two checkouts, summarized into one JSON file.
 
-    python3 tools/bench_pairs.py --base ../parent --head . --pairs 5 \\
-        --workloads thin-growth tip-verify --seed0 1101 --out BENCH_11.json
+    python3 tools/bench_pairs.py --base ../parent --head . --seed0 1101 --out BENCH_11.json
 
-Each pair runs ``perfbench/run.py`` once in the base checkout and once in
-the head checkout, on the same fresh seed (``--seed0`` plus the pair
-index), for every workload; which side runs first alternates from pair to
-pair.  The output holds every run's end-to-end metrics, and per workload
-and metric the median and quartiles of each side, the parent's IQR, the
-head/base ratio of the medians and the pairs the head won, plus
-provenance (nproc, Python, NumPy, platform and both commits).  Which way
-is better comes from the head's ``BENCHMARK.json``.
+Each of ``--pairs`` (default 10) pairs runs ``perfbench/run.py`` once in
+the base checkout and once in the head checkout, on the same fresh seed
+(``--seed0`` plus the pair index), for every workload of the head's
+``BENCHMARK.json`` and for its ``run_seconds``; which side runs first
+alternates from pair to pair.  The output holds every run's end-to-end
+metrics, and per workload and metric the median and quartiles of each
+side, the parent's IQR, the head/base ratio of the medians and the pairs
+the head won, plus provenance (nproc, Python, NumPy, platform and both
+commits).  Which way is better also comes from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -107,15 +107,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="checkout of the parent commit")
     parser.add_argument("--head", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--workloads", nargs="+", default=["thin-growth", "tip-verify"])
-    parser.add_argument("--seconds", type=float, default=55.0)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, required=True)
     parser.add_argument("--out", required=True)
     ns = parser.parse_args(argv)
 
     with open(os.path.join(ns.head, "BENCHMARK.json"), encoding="utf-8") as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        benchmark = json.load(handle)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     checkouts = {"base": os.path.abspath(ns.base), "head": os.path.abspath(ns.head)}
     provenance = {
         "nproc": os.cpu_count(),
@@ -123,16 +124,16 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "base_commit": _commit(checkouts["base"]),
         "head_commit": _commit(checkouts["head"]),
-        "seconds": ns.seconds,
+        "seconds": seconds,
         "seeds": [ns.seed0 + p for p in range(ns.pairs)],
     }
     runs = []
     for pair in range(ns.pairs):
         seed = ns.seed0 + pair
         order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-        for workload in ns.workloads:
+        for workload in workloads:
             for side in order:
-                record = run_once(checkouts[side], workload, seed, ns.seconds)
+                record = run_once(checkouts[side], workload, seed, seconds)
                 record.update(side=side, workload=workload, pair=pair, seed=seed, first=order[0])
                 runs.append(record)
                 provenance["numpy"] = record["numpy"]
