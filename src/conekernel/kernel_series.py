@@ -371,6 +371,14 @@ def _ladder(params: ConeParams, m_max: int, phis):
     return nus, (phase_re, phase_im), weight, cone.rows(phis, m_max + 1)
 
 
+def _quad_count(nus: np.ndarray, x: float) -> int:
+    """How many orders of the increasing ladder nus lie in the quadrature
+    region at x (x > max(12, nu/2), as in bessel_j): a prefix, counted by
+    bisection.  0.5 nu < x exactly when nu < 2x, since both scalings are
+    by a power of two."""
+    return int(np.searchsorted(nus, 2.0 * x)) if x > 12.0 else 0
+
+
 def _groups(xs, truncated, nus, weight, cgs) -> list[list[int]]:
     """The x of a grid, as indices in ascending x, cut into runs that may
     share one band over the orders [0, N_b), N_b = max M(x) + 1.
@@ -436,12 +444,9 @@ def _eval_grid(
         truncated = [(int(terms), math.inf if c is None else c) for c in certified]
     nus, (phase_re, phase_im), weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
     scales = [x ** (-params.d) for x in xs]
-    # nu_m increases with m, so the quadrature orders (x > max(12, nu/2),
-    # as in bessel_j) are a prefix of the ladder; every Bessel batch and
-    # band reads a slice of one sinc window over the longest such prefix
-    n_quads = [
-        int(np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[: m + 1]))) for x, (m, _) in zip(xs, truncated)
-    ]
+    # every Bessel batch and band reads a slice of one sinc window over the
+    # longest prefix of quadrature orders
+    n_quads = [_quad_count(nus[: m + 1], x) for x, (m, _) in zip(xs, truncated)]
     window = _cone_of(params, max(n_quads)).window(max(n_quads)) if max(n_quads) else None
 
     results: list = [None] * len(xs)

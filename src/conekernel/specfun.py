@@ -8,7 +8,11 @@ Bessel evaluation strategy
 --------------------------
 * ``x <= max(12, nu/2)``: ascending power series, accumulated in
   double-double arithmetic so the alternating-series cancellation near
-  x ~ 12 costs no accuracy.
+  x ~ 12 costs no accuracy.  It stops at the first term u_k with
+  |u_k| <= 2^-60 |s_k| (s_k the partial sum) once the terms decrease
+  (z = x^2/4 < k (nu+k)): the tail then alternates with decreasing terms,
+  so it is below 2^-60 |s|, under 1/128 ulp of the result, and is charged
+  to the achieved bound.
 * otherwise: the sinc series of J's own samples at half-integer orders.
   By DLMF 10.9.6, J_nu = AJ_nu - sin(pi nu)/pi D_nu, with the Anger
   function (DLMF 11.10) and a decaying part
@@ -172,6 +176,8 @@ def acos_unit(mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 _SERIES_MAX_TERMS = 20000
+# The series stops once a term is below this fraction of the partial sum.
+_SERIES_STOP = 2.0**-60
 
 
 def _bessel_series(nu: float, x: float, tol: Tolerance) -> float:
@@ -202,8 +208,12 @@ def _bessel_series(nu: float, x: float, tol: Tolerance) -> float:
         au = abs(u[0])
         if au > u_max:
             u_max = au
-        # safe stop: terms are decreasing once z < k (nu+k)
-        if au <= 1e-34 * abs(s[0]) + 1e-320 and z[0] < dk * (nu + dk):
+        # Stop once |u_k| <= 2^-60 |s_k| and z < k (nu+k).  Every later ratio
+        # u_{j+1}/u_j = z/((j+1)(nu+j+1)) is then below 1, so the tail
+        # sum_{j>k} (-1)^j u_j alternates with decreasing terms and is at
+        # most u_{k+1} < u_k <= 2^-60 |s| (+1e-320 for s ~ 0): under 1/128
+        # ulp of the returned double, and charged to achieved below.
+        if au <= _SERIES_STOP * abs(s[0]) + 1e-320 and z[0] < dk * (nu + dk):
             break
     if nu == 0.0:
         t0 = 1.0
@@ -213,8 +223,13 @@ def _bessel_series(nu: float, x: float, tol: Tolerance) -> float:
         t0 = math.exp(expo) if expo > -745.0 else 0.0
     val = t0 * (s[0] + s[1])
     # error model: double-double accumulation leaves ~2^-100 of the largest
-    # term; the prefactor exp() costs ~(|expo|+4) ulps relative.
-    achieved = t0 * u_max * 1e-30 + abs(val) * (abs(expo) + 4.0) * 2.3e-16
+    # term; the prefactor exp() costs ~(|expo|+4) ulps relative; the tail
+    # left out by the stop is below t0 * 2^-60 |s|.
+    achieved = (
+        t0 * u_max * 1e-30
+        + abs(val) * (abs(expo) + 4.0) * 2.3e-16
+        + t0 * (_SERIES_STOP * abs(s[0]) + 1e-320)
+    )
     if achieved > max(tol.abs_tol, tol.rel_tol * abs(val)):
         raise PrecisionError(
             f"J_{nu}({x}): achieved error bound {achieved:.3e} exceeds tolerance",

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py's summarizer on canned runs (no benchmark runs)."""
+"""tools/bench_pairs.py's summarizer and driver on canned runs (no benchmark runs)."""
 import importlib.util
+import json
 import os
 
 import pytest
@@ -10,6 +11,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 BETTER = {"points_per_s": "higher", "job_ms_p50": "lower"}
+BOUNDS = {"points_per_s": 0.25, "job_ms_p50": 0.25, "peak_rss_mb": 0.15}
 
 
 def _run(side, pair, pps, p50, workload="thin-growth", failed=0.0):
@@ -24,7 +26,7 @@ def test_summary_medians_iqr_ratio_and_wins():
     head = [130.0, 120.0, 125.0, 104.0, 140.0]  # loses pair 3
     runs = [_run("base", p, v, 1000.0 / v) for p, v in enumerate(base)]
     runs += [_run("head", p, v, 1000.0 / v, failed=0.01 * p) for p, v in enumerate(head)]
-    summary = bench_pairs.summarize(runs, BETTER)["thin-growth"]
+    summary = bench_pairs.summarize(runs, BETTER, BOUNDS)["thin-growth"]
     pps = summary["metrics"]["points_per_s"]
     assert pps["base"]["median"] == 100.0 and pps["head"]["median"] == 125.0
     assert (pps["base"]["q1"], pps["base"]["q3"]) == (95.0, 105.0)
@@ -48,10 +50,64 @@ def test_summary_ties_incomplete_pairs_and_workloads():
         _run("base", 0, 50.0, 20.0, workload="tip-verify"),
         _run("head", 0, 51.0, 19.0, workload="tip-verify"),
     ]
-    summary = bench_pairs.summarize(runs, BETTER)
+    summary = bench_pairs.summarize(runs, BETTER, BOUNDS)
     assert sorted(summary) == ["thin-growth", "tip-verify"]
     pps = summary["thin-growth"]["metrics"]["points_per_s"]
     assert (pps["pairs"], pps["head_wins"], pps["base_wins"]) == (2, 0, 1)
     assert pps["beyond_base_iqr"] is False
     tip = summary["tip-verify"]["metrics"]["points_per_s"]
     assert tip["base_iqr"] == 0.0 and tip["head_wins"] == 1 and tip["beyond_base_iqr"] is True
+
+
+
+def _rss_runs(base_rss, head_rss, base_pps=100.0, head_pps=100.0):
+    runs = []
+    for p in range(3):
+        runs.append({"side": "base", "workload": "tip-verify", "pair": p, "correct": True, "failed_frac": 0.0,
+                     "metrics": {"points_per_s": base_pps, "peak_rss_mb": base_rss}})
+        runs.append({"side": "head", "workload": "tip-verify", "pair": p, "correct": True, "failed_frac": 0.0,
+                     "metrics": {"points_per_s": head_pps, "peak_rss_mb": head_rss}})
+    return runs
+
+
+def test_summary_flags_a_median_worse_beyond_its_bound():
+    better = {"points_per_s": "higher", "peak_rss_mb": "lower"}
+    # the RSS rose 16% against a 0.15 bound: flagged, though the head is
+    # faster; a 14% rise is not
+    flagged = bench_pairs.summarize(_rss_runs(50.0, 58.0, head_pps=130.0), better, BOUNDS)["tip-verify"]
+    assert flagged["metrics"]["peak_rss_mb"]["worse_beyond_bound"] is True
+    assert flagged["metrics"]["points_per_s"]["worse_beyond_bound"] is False
+    within = bench_pairs.summarize(_rss_runs(50.0, 57.0), better, BOUNDS)["tip-verify"]["metrics"]
+    assert within["peak_rss_mb"]["worse_beyond_bound"] is False
+    # higher is better for throughput: a 26% fall breaks its 0.25 bound, a 24% one does not
+    slow = bench_pairs.summarize(_rss_runs(50.0, 50.0, head_pps=74.0), better, BOUNDS)["tip-verify"]["metrics"]
+    assert slow["points_per_s"]["worse_beyond_bound"] is True
+    slow = bench_pairs.summarize(_rss_runs(50.0, 50.0, head_pps=76.0), better, BOUNDS)["tip-verify"]["metrics"]
+    assert slow["points_per_s"]["worse_beyond_bound"] is False
+
+
+def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((workload, seed))
+        return {"metrics": {"points_per_s": 100.0, "peak_rss_mb": 50.0}, "correct": True,
+                "failed_frac": 0.0, "attempted": 10, "numpy": "x"}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    head = os.path.dirname(os.path.dirname(_PATH))
+    out = tmp_path / "pairs.json"
+    argv = ["--base", head, "--head", head, "--seed0", "7", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--workload", "tip-verify"]) == 0
+    report = json.loads(out.read_text())
+    assert report["provenance"]["workloads"] == ["tip-verify"]
+    assert calls == [("tip-verify", 7)] * 2 + [("tip-verify", 8)] * 2
+    assert sorted(report["summary"]) == ["tip-verify"]
+    assert report["summary"]["tip-verify"]["metrics"]["peak_rss_mb"]["worse_beyond_bound"] is False
+    # by default every workload of BENCHMARK.json runs
+    calls.clear()
+    assert bench_pairs.main(argv + ["--pairs", "1"]) == 0
+    with open(os.path.join(head, "BENCHMARK.json"), encoding="utf-8") as handle:
+        listed = [w["name"] for w in json.load(handle)["workloads"]]
+    assert json.loads(out.read_text())["provenance"]["workloads"] == listed
+    assert [w for w, _ in calls] == [w for w in listed for _ in range(2)]

@@ -18,7 +18,7 @@ from test_truncation_frozen import FROZEN_M, TRUNCATION_XS
 
 import conekernel.kernel_series as ks
 from conekernel import CapacityError, ConeParams, DomainError, eval_I_multi, make_grid, nu_many, scan
-from conekernel.kernel_series import _eval_grid, _groups, _ladder, _truncations
+from conekernel.kernel_series import _eval_grid, _groups, _ladder, _quad_count, _truncations
 from conekernel.specfun import gegenbauer_all
 
 EPS = 2.0**-52
@@ -61,6 +61,19 @@ def _bessel_path(params, x, tol):
     nus = nu_many(params, np.arange(m_top + 1))
     quad = x > np.maximum(12.0, 0.5 * nus)
     return "quad" if quad.all() else ("series" if not quad.any() else "mixed")
+
+
+def test_quad_count_matches_elementwise_count():
+    # the bisection count of quadrature orders is the elementwise one, on a
+    # 512-x window across x = 12, a log grid on [1, 2000], x = 12 itself and
+    # x = nu_k/2 exactly, for the whole ladder and for prefixes of it
+    nus, _, _, _ = _ladder(ConeParams(rho=0.35, n=3, c=0.0), 1500, [0.0])
+    xs = np.concatenate(
+        (np.linspace(11.0, 113.2, 512), np.geomspace(1.0, 2000.0, 400), [12.0], 0.5 * nus[nus > 24.0][:50])
+    )
+    for m in (0, 7, 300, 1500):
+        for x in xs.tolist():
+            assert _quad_count(nus[: m + 1], x) == np.count_nonzero(x > np.maximum(12.0, 0.5 * nus[: m + 1]))
 
 
 def _scan_groups(params, xs, phis, truncated):

@@ -388,3 +388,82 @@ def test_bessel_quad_phase_noise_does_not_scale_with_x():
     ref = np.array([float(mpmath.besselj(v, x)) for v in nus])
     err = _quad(nus, x) - ref
     assert math.sqrt(float(np.mean(err**2))) <= 2.5e-16
+
+
+# ---------------------------------------------------------------------------
+# Power-series region (x <= max(12, nu/2)) against mpmath
+# ---------------------------------------------------------------------------
+# float.hex of the power series' values, frozen from the series that summed
+# until |u_k| <= 1e-34 |s|: the stop at 2^-60 |s| leaves every one bitwise
+# unchanged.  Tiny x, x -> 12-, 12 < x <= nu/2, points within 1e-3 of the
+# first zero j_{nu,1} and values down to 1e-220.
+SERIES_FROZEN = [
+    (0.0, 0.0001, "0x1.ffffffea86712p-1"),
+    (1.0, 0.001, "0x1.0624db0959245p-11"),
+    (0.5, 0.3, "0x1.b8d34ae841d8ep-2"),
+    (2.5, 1.7, "0x1.4c43c41696418p-3"),
+    (7.0, 4.2, "0x1.4b46d3876cca2p-6"),
+    (13.5, 6.25, "0x1.b4f6e1fae4579p-14"),
+    (0.3, 11.9, "-0x1.4cae0cc42c78bp-4"),
+    (0.75, 11.999999999999998, "-0x1.7ed48c904c95fp-3"),
+    (5.5, 11.5, "-0x1.f049e17200979p-3"),
+    (12.0, 11.75, "0x1.693a78dd481fdp-3"),
+    (21.25, 9.3, "0x1.1348293af3094p-21"),
+    (33.0, 2.0, "0x1.306a0d8354e2fp-123"),
+    (47.5, 10.0, "0x1.4f9db2c26aaa7p-91"),
+    (60.0, 0.01, "0x1.2d6f1127b55f1p-731"),
+    (59.9, 11.0, "0x1.0abccb1cf89bfp-125"),
+    (40.0, 19.0, "0x1.6840feb0743d5p-33"),
+    (60.0, 29.5, "0x1.6eff7445fa473p-45"),
+    (26.5, 13.0, "0x1.7128641cc2c98p-22"),
+    (0.0, 2.403825557695773, "0x1.103d46fb5076ap-11"),
+    (1.0, 3.8327059702075124, "-0x1.a644c79f533eap-12"),
+    (2.5, 5.7634581968945495, "0x1.547d65af875eep-22"),
+    (6.7, 10.74361313179565, "-0x1.c5a0c7b85c35ap-13"),
+    (17.3, 0.07, "0x1.ae07eb9ddad13p-134"),
+    (3.25, 8.8, "-0x1.0b48348ec2452p-2"),
+]
+
+
+def test_bessel_series_frozen_bitwise():
+    for nu, x, frozen in SERIES_FROZEN:
+        assert bessel_j(nu, x).hex() == frozen, (nu, x)
+
+
+def _series_achieved(nu, x):
+    """The power series' own error bound at (nu, x): the achieved bound of
+    the PrecisionError it raises when no tolerance above 0 is left to meet
+    (0 when even that bound underflows)."""
+    try:
+        specfun._bessel_series(nu, x, Tolerance(abs_tol=math.ulp(0.0), rel_tol=1e-300))
+    except PrecisionError as exc:
+        return exc.achieved
+    return 0.0
+
+
+def test_bessel_series_matches_mpmath():
+    # Integer, half-integer and generic orders in [0, 60] at log-uniform x
+    # in [1e-4, 12], x -> 12-, 12 < x <= nu/2 and points near the first zero
+    # j_{nu,1} < 12.  Each value is within the series' achieved bound, or
+    # (near x = 12, where the rounding of the prefactor's exponent exceeds
+    # the bound's share for it) within 2e-15 absolute, plus the 2^-60 |J|
+    # its stop leaves out.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(22)
+    nus = rng.uniform(0.0, 60.0, 150)
+    nus[:50] = np.round(nus[:50])
+    nus[50:100] = np.floor(nus[50:100]) + 0.5
+    points = list(zip(nus.tolist(), np.exp(rng.uniform(math.log(1e-4), math.log(12.0), 150)).tolist()))
+    below_twelve = float(np.nextafter(12.0, 0.0))
+    points += [(nu, below_twelve) for nu in (0.0, 0.75, 5.5, 11.0, 12.0, 12.3, 30.0)]
+    points += [(40.0, 19.0), (60.0, 29.5), (26.5, 13.0), (33.3, 16.6), (50.0, 24.99)]
+    for nu in (0.0, 0.5, 1.0, 2.5, 4.0, 6.7):
+        zero = float(mpmath.besseljzero(nu, 1))
+        points += [(nu, zero + dx) for dx in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)]
+    points += [(nu, x) for nu, x, _ in SERIES_FROZEN]
+    for nu, x in points:
+        assert x <= max(12.0, 0.5 * nu)
+        got = bessel_j(nu, x)
+        err = abs(got - float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))))
+        assert err <= max(_series_achieved(nu, x), 2e-15) + 2.0**-60 * abs(got), (nu, x, err)

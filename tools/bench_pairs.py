@@ -1,16 +1,21 @@
 """Alternated benchmark pairs of two checkouts, summarized into one JSON file.
 
     python3 tools/bench_pairs.py --base ../parent --head . --seed0 1101 --out BENCH_11.json
+    python3 tools/bench_pairs.py --base ../parent --head . --seed0 1101 --out tip.json \
+        --workload tip-verify
 
 Each of ``--pairs`` (default 10) pairs runs ``perfbench/run.py`` once in
 the base checkout and once in the head checkout, on the same fresh seed
-(``--seed0`` plus the pair index), for every workload of the head's
-``BENCHMARK.json`` and for its ``run_seconds``; which side runs first
-alternates from pair to pair.  The output holds every run's end-to-end
-metrics, and per workload and metric the median and quartiles of each
-side, the parent's IQR, the head/base ratio of the medians and the pairs
-the head won, plus provenance (nproc, Python, NumPy, platform and both
-commits).  Which way is better also comes from ``BENCHMARK.json``.
+(``--seed0`` plus the pair index), for every workload named by a
+``--workload`` (default: every workload of the head's ``BENCHMARK.json``)
+and for the head's ``run_seconds``; which side runs first alternates from
+pair to pair.  The output holds every run's end-to-end metrics, and per
+workload and metric the median and quartiles of each side, the parent's
+IQR, the head/base ratio of the medians, the pairs the head won and
+whether the head's median is worse than the base's by more than the
+metric's bound, plus provenance (nproc, Python, NumPy, platform, both
+commits and the workloads run).  Which way is better, and each bound,
+also come from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -48,13 +53,15 @@ def _quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, better: dict, bounds: dict) -> dict:
     """Per workload and metric: each side's median and quartiles, the
     parent's IQR, the head/base median ratio, the pairs the head won
     (ties count for neither side) and whether the medians differ by more
     than the parent's IQR in the better direction.  runs are records with
     side ("base" or "head"), workload, pair and metrics; better maps a
-    metric to "lower" or "higher"."""
+    metric to "lower" or "higher" and bounds to its relative bound:
+    worse_beyond_bound says whether the head's median is worse than the
+    base's by more than the bound, as a fraction of the base's median."""
     out: dict = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
@@ -86,6 +93,8 @@ def summarize(runs: list, better: dict) -> dict:
                 "head_wins": sum(1 for v in diffs if v > 0),
                 "base_wins": sum(1 for v in diffs if v < 0),
                 "beyond_base_iqr": sign * (head["median"] - base["median"]) > iqr,
+                "worse_beyond_bound": sign * (head["median"] - base["median"])
+                < -bounds[name] * abs(base["median"]),
             }
         failed = {side: max((r["failed_frac"] for r in mine if r["side"] == side), default=None)
                   for side in ("base", "head")}
@@ -110,12 +119,15 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, required=True)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--workload", action="append", default=None,
+                        help="a workload to run (repeatable; default: every one in BENCHMARK.json)")
     ns = parser.parse_args(argv)
 
     with open(os.path.join(ns.head, "BENCHMARK.json"), encoding="utf-8") as handle:
         benchmark = json.load(handle)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    workloads = [w["name"] for w in benchmark["workloads"]]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    workloads = ns.workload or [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
     checkouts = {"base": os.path.abspath(ns.base), "head": os.path.abspath(ns.head)}
     provenance = {
@@ -125,6 +137,7 @@ def main(argv=None) -> int:
         "base_commit": _commit(checkouts["base"]),
         "head_commit": _commit(checkouts["head"]),
         "seconds": seconds,
+        "workloads": workloads,
         "seeds": [ns.seed0 + p for p in range(ns.pairs)],
     }
     runs = []
@@ -139,7 +152,7 @@ def main(argv=None) -> int:
                 provenance["numpy"] = record["numpy"]
                 print(json.dumps({k: record[k] for k in ("side", "workload", "pair", "metrics")}), flush=True)
                 # rewritten after every run, so an interrupted series keeps what it measured
-                report = {"provenance": provenance, "summary": summarize(runs, better), "runs": runs}
+                report = {"provenance": provenance, "summary": summarize(runs, better, bounds), "runs": runs}
                 with open(ns.out, "w", encoding="utf-8") as handle:
                     json.dump(report, handle, indent=1)
                     handle.write("\n")
