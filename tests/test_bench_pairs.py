@@ -59,7 +59,6 @@ def test_summary_ties_incomplete_pairs_and_workloads():
     assert tip["base_iqr"] == 0.0 and tip["head_wins"] == 1 and tip["beyond_base_iqr"] is True
 
 
-
 def _rss_runs(base_rss, head_rss, base_pps=100.0, head_pps=100.0):
     runs = []
     for p in range(3):

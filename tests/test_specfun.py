@@ -447,7 +447,8 @@ def test_bessel_series_matches_mpmath():
     # j_{nu,1} < 12.  Each value is within the series' achieved bound, or
     # (near x = 12, where the rounding of the prefactor's exponent exceeds
     # the bound's share for it) within 2e-15 absolute, plus the 2^-60 |J|
-    # its stop leaves out.
+    # its stop leaves out; and within the 2.3e-15 absolute the module
+    # documents at x = 12, whatever the achieved bound charges.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     rng = np.random.default_rng(22)
@@ -467,3 +468,4 @@ def test_bessel_series_matches_mpmath():
         got = bessel_j(nu, x)
         err = abs(got - float(mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))))
         assert err <= max(_series_achieved(nu, x), 2e-15) + 2.0**-60 * abs(got), (nu, x, err)
+        assert err <= 2.3e-15, (nu, x, err)
