@@ -12,7 +12,8 @@ Bessel evaluation strategy
   |u_k| <= 2^-60 |s_k| (s_k the partial sum) once the terms decrease
   (z = x^2/4 < k (nu+k)): the tail then alternates with decreasing terms,
   so it is below 2^-60 |s|, under 1/128 ulp of the result, and is charged
-  to the achieved bound.
+  to the achieved bound.  That bounds the error; a sum within 2^-60 |s| of
+  a rounding boundary can still round to the neighbouring double.
 * otherwise: the sinc series of J's own samples at half-integer orders.
   By DLMF 10.9.6, J_nu = AJ_nu - sin(pi nu)/pi D_nu, with the Anger
   function (DLMF 11.10) and a decaying part

@@ -1,6 +1,5 @@
-"""tools/bench_pairs.py's summarizer and driver on canned runs (no benchmark runs)."""
+"""tools/bench_pairs.py's summarizer on canned runs (no benchmark runs)."""
 import importlib.util
-import json
 import os
 
 import pytest
@@ -83,30 +82,3 @@ def test_summary_flags_a_median_worse_beyond_its_bound():
     assert slow["points_per_s"]["worse_beyond_bound"] is True
     slow = bench_pairs.summarize(_rss_runs(50.0, 50.0, head_pps=76.0), better, BOUNDS)["tip-verify"]["metrics"]
     assert slow["points_per_s"]["worse_beyond_bound"] is False
-
-
-def test_main_runs_only_the_named_workloads(tmp_path, monkeypatch):
-    calls = []
-
-    def fake_run_once(checkout, workload, seed, seconds):
-        calls.append((workload, seed))
-        return {"metrics": {"points_per_s": 100.0, "peak_rss_mb": 50.0}, "correct": True,
-                "failed_frac": 0.0, "attempted": 10, "numpy": "x"}
-
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
-    head = os.path.dirname(os.path.dirname(_PATH))
-    out = tmp_path / "pairs.json"
-    argv = ["--base", head, "--head", head, "--seed0", "7", "--pairs", "2", "--out", str(out)]
-    assert bench_pairs.main(argv + ["--workload", "tip-verify"]) == 0
-    report = json.loads(out.read_text())
-    assert report["provenance"]["workloads"] == ["tip-verify"]
-    assert calls == [("tip-verify", 7)] * 2 + [("tip-verify", 8)] * 2
-    assert sorted(report["summary"]) == ["tip-verify"]
-    assert report["summary"]["tip-verify"]["metrics"]["peak_rss_mb"]["worse_beyond_bound"] is False
-    # by default every workload of BENCHMARK.json runs
-    calls.clear()
-    assert bench_pairs.main(argv + ["--pairs", "1"]) == 0
-    with open(os.path.join(head, "BENCHMARK.json"), encoding="utf-8") as handle:
-        listed = [w["name"] for w in json.load(handle)["workloads"]]
-    assert json.loads(out.read_text())["provenance"]["workloads"] == listed
-    assert [w for w, _ in calls] == [w for w in listed for _ in range(2)]

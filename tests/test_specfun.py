@@ -394,8 +394,9 @@ def test_bessel_quad_phase_noise_does_not_scale_with_x():
 # Power-series region (x <= max(12, nu/2)) against mpmath
 # ---------------------------------------------------------------------------
 # float.hex of the power series' values, frozen from the series that summed
-# until |u_k| <= 1e-34 |s|: the stop at 2^-60 |s| leaves every one bitwise
-# unchanged.  Tiny x, x -> 12-, 12 < x <= nu/2, points within 1e-3 of the
+# until |u_k| <= 1e-34 |s|.  The stop at 2^-60 |s| left each of these bitwise
+# unchanged; the rule itself bounds only the error (under 1/128 ulp), so a
+# value within 2^-60 |s| of a rounding boundary could change.  Tiny x, x -> 12-, 12 < x <= nu/2, points within 1e-3 of the
 # first zero j_{nu,1} and values down to 1e-220.
 SERIES_FROZEN = [
     (0.0, 0.0001, "0x1.ffffffea86712p-1"),

@@ -1,21 +1,18 @@
 """Alternated benchmark pairs of two checkouts, summarized into one JSON file.
 
     python3 tools/bench_pairs.py --base ../parent --head . --seed0 1101 --out BENCH_11.json
-    python3 tools/bench_pairs.py --base ../parent --head . --seed0 1101 --out tip.json \
-        --workload tip-verify
 
 Each of ``--pairs`` (default 10) pairs runs ``perfbench/run.py`` once in
 the base checkout and once in the head checkout, on the same fresh seed
-(``--seed0`` plus the pair index), for every workload named by a
-``--workload`` (default: every workload of the head's ``BENCHMARK.json``)
-and for the head's ``run_seconds``; which side runs first alternates from
-pair to pair.  The output holds every run's end-to-end metrics, and per
-workload and metric the median and quartiles of each side, the parent's
-IQR, the head/base ratio of the medians, the pairs the head won and
-whether the head's median is worse than the base's by more than the
-metric's bound, plus provenance (nproc, Python, NumPy, platform, both
-commits and the workloads run).  Which way is better, and each bound,
-also come from ``BENCHMARK.json``.
+(``--seed0`` plus the pair index), for every workload of the head's
+``BENCHMARK.json`` and for its ``run_seconds``; which side runs first
+alternates from pair to pair.  The output holds every run's end-to-end
+metrics, and per workload and metric the median and quartiles of each
+side, the parent's IQR, the head/base ratio of the medians, the pairs the
+head won and whether the head's median is worse than the base's by more
+than the metric's bound, plus provenance (nproc, Python, NumPy, platform
+and both commits).  Which way is better, and each bound, also come from
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -119,15 +116,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workload", action="append", default=None,
-                        help="a workload to run (repeatable; default: every one in BENCHMARK.json)")
     ns = parser.parse_args(argv)
 
     with open(os.path.join(ns.head, "BENCHMARK.json"), encoding="utf-8") as handle:
         benchmark = json.load(handle)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
-    workloads = ns.workload or [w["name"] for w in benchmark["workloads"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
     checkouts = {"base": os.path.abspath(ns.base), "head": os.path.abspath(ns.head)}
     provenance = {
@@ -137,7 +132,6 @@ def main(argv=None) -> int:
         "base_commit": _commit(checkouts["base"]),
         "head_commit": _commit(checkouts["head"]),
         "seconds": seconds,
-        "workloads": workloads,
         "seeds": [ns.seed0 + p for p in range(ns.pairs)],
     }
     runs = []
