@@ -15,6 +15,7 @@ parameters or input; 3 evaluation failure (precision or capacity);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -129,10 +130,14 @@ class RunConfig:
     phis: tuple = (0.4, math.pi / 2.0, math.pi - 0.4)
     tol: float = 1e-10
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON object of this config (phis as a list)."""
         data = asdict(self)
         data["phis"] = list(self.phis)
-        return json.dumps(data, indent=2)
+        return data
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -383,7 +388,7 @@ def _cmd_verify(ns) -> int:
     _print_json(
         {
             "preset": ns.preset,
-            "config": json.loads(config.to_json()),
+            "config": config.to_dict(),
             "report": report.to_dict(),
         }
     )
@@ -401,7 +406,11 @@ def _add_params(sub, with_defaults: bool = True) -> None:
         sub.add_argument("--c", type=float, default=None)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    between calls (each gets a fresh namespace, and --help and errors
+    are formatted per call)."""
     parser = argparse.ArgumentParser(
         prog="conekernel",
         description="Schrodinger kernel series on product cones: evaluation, "

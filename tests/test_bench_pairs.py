@@ -16,7 +16,7 @@ BOUNDS = {"points_per_s": 0.25, "job_ms_p50": 0.25, "peak_rss_mb": 0.15}
 def _run(side, pair, pps, p50, workload="thin-growth", failed=0.0):
     return {
         "side": side, "workload": workload, "pair": pair, "correct": True, "failed_frac": failed,
-        "metrics": {"points_per_s": pps, "job_ms_p50": p50},
+        "attempted": 100, "metrics": {"points_per_s": pps, "job_ms_p50": p50},
     }
 
 
@@ -58,13 +58,13 @@ def test_summary_ties_incomplete_pairs_and_workloads():
     assert tip["base_iqr"] == 0.0 and tip["head_wins"] == 1 and tip["beyond_base_iqr"] is True
 
 
-def _rss_runs(base_rss, head_rss, base_pps=100.0, head_pps=100.0):
+def _rss_runs(base_rss, head_rss, base_pps=100.0, head_pps=100.0, base_jobs=1000, head_jobs=1000):
     runs = []
     for p in range(3):
         runs.append({"side": "base", "workload": "tip-verify", "pair": p, "correct": True, "failed_frac": 0.0,
-                     "metrics": {"points_per_s": base_pps, "peak_rss_mb": base_rss}})
+                     "attempted": base_jobs, "metrics": {"points_per_s": base_pps, "peak_rss_mb": base_rss}})
         runs.append({"side": "head", "workload": "tip-verify", "pair": p, "correct": True, "failed_frac": 0.0,
-                     "metrics": {"points_per_s": head_pps, "peak_rss_mb": head_rss}})
+                     "attempted": head_jobs, "metrics": {"points_per_s": head_pps, "peak_rss_mb": head_rss}})
     return runs
 
 
@@ -82,3 +82,20 @@ def test_summary_flags_a_median_worse_beyond_its_bound():
     assert slow["points_per_s"]["worse_beyond_bound"] is True
     slow = bench_pairs.summarize(_rss_runs(50.0, 50.0, head_pps=76.0), better, BOUNDS)["tip-verify"]["metrics"]
     assert slow["points_per_s"]["worse_beyond_bound"] is False
+
+
+def test_summary_reports_job_counts_and_rss_per_job():
+    better = {"points_per_s": "higher", "peak_rss_mb": "lower"}
+    runs = _rss_runs(50.0, 56.0, head_pps=130.0, base_jobs=2000, head_jobs=2600)
+    runs[-1]["attempted"] = 2700  # the head's median stays 2600
+    tip = bench_pairs.summarize(runs, better, BOUNDS)["tip-verify"]
+    assert tip["median_attempted"] == {"base": 2000, "head": 2600}
+    assert tip["rss_mb_per_job"] == pytest.approx(6.0 / 600)
+    # equal job counts leave the cost undefined; so does a side with no runs
+    same = bench_pairs.summarize(_rss_runs(50.0, 51.0), better, BOUNDS)["tip-verify"]
+    assert same["median_attempted"] == {"base": 1000, "head": 1000}
+    assert same["rss_mb_per_job"] is None
+    base_only = [r for r in runs if r["side"] == "base"]
+    alone = bench_pairs.summarize(base_only, better, BOUNDS)["tip-verify"]
+    assert alone["median_attempted"] == {"base": 2000, "head": None}
+    assert alone["rss_mb_per_job"] is None

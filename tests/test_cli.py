@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import conekernel
-from conekernel import CSV_HEADER, InputError
+from conekernel import CSV_HEADER, InputError, cli
 from conekernel.cli import PRESETS, RunConfig, main, parse_angle, parse_ratio
 
 EUCLIDEAN_N3_MODULUS = 0.79788456080286535588  # 1/(d 2^d Gamma(d)) at n = 3
@@ -440,6 +440,50 @@ def test_verify_epsilon0_angle_family(capsys):
     phis = data["config"]["phis"]
     assert phis == pytest.approx([0.4, math.pi / 2.0, math.pi - 0.4], rel=1e-12)
     assert data["report"]["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+# Calls whose defaults could leak into the next one if the shared parser
+# kept state: overrides, then a preset that sets none of them.
+REUSE_SEQUENCE = [
+    ("verify", "--rho", "0.5", "--n", "4", "--c", "0.1", "--which", "smallx",
+     "--x-min", "1e-3", "--x-max", "2", "--x-count", "6", "--phi", "0,pi/2,pi", "--tol", "1e-9"),
+    ("verify", "--preset", "interior-bounded"),
+    ("verify", "--x-count", "ten"),
+    ("eval", "--rho", "2/3", "--x", "3", "--phi", "pi/4"),
+    ("scan", "--rho", "1", "--x-min", "1", "--x-max", "5", "--x-count", "3", "--phi", "0,pi"),
+    ("verify", "--help"),
+]
+
+
+def test_shared_parser_matches_a_fresh_one_call_by_call(capsys, monkeypatch):
+    shared = [run_cli(capsys, *argv) for argv in REUSE_SEQUENCE]
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in REUSE_SEQUENCE]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+    for argv, a, b in zip(REUSE_SEQUENCE, shared, fresh):
+        assert a == b, argv
+
+
+def test_shared_parser_help_follows_columns(capsys, monkeypatch):
+    outs = []
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        shared = run_cli(capsys, "verify", "--help")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli._parser.__wrapped__)
+            assert run_cli(capsys, "verify", "--help") == shared
+        outs.append(shared[1])
+    narrow, wide = outs
+    assert narrow != wide
+    assert max(map(len, narrow.splitlines())) < max(map(len, wide.splitlines()))
 
 
 # ---------------------------------------------------------------------------

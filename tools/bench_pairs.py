@@ -10,9 +10,13 @@ alternates from pair to pair.  The output holds every run's end-to-end
 metrics, and per workload and metric the median and quartiles of each
 side, the parent's IQR, the head/base ratio of the medians, the pairs the
 head won and whether the head's median is worse than the base's by more
-than the metric's bound, plus provenance (nproc, Python, NumPy, platform
-and both commits).  Which way is better, and each bound, also come from
-``BENCHMARK.json``.
+than the metric's bound.  Per workload it also holds each side's median
+job count (``attempted``) and the RSS cost per job: the difference of the
+``peak_rss_mb`` medians over the difference of the job-count medians
+(null when the counts are equal), which sizes how far a throughput gain
+can go before ``peak_rss_mb`` breaks its bound.  Provenance records
+nproc, Python, NumPy, platform and both commits.  Which way is better,
+and each bound, also come from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -58,7 +62,11 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
     side ("base" or "head"), workload, pair and metrics; better maps a
     metric to "lower" or "higher" and bounds to its relative bound:
     worse_beyond_bound says whether the head's median is worse than the
-    base's by more than the bound, as a fraction of the base's median."""
+    base's by more than the bound, as a fraction of the base's median.
+    Per workload, median_attempted is each side's median job count (None
+    for a side with no runs) and rss_mb_per_job the difference of the
+    peak_rss_mb medians over that of the job-count medians (None when
+    either is missing or the counts are equal)."""
     out: dict = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
@@ -95,8 +103,17 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
             }
         failed = {side: max((r["failed_frac"] for r in mine if r["side"] == side), default=None)
                   for side in ("base", "head")}
+        attempted = {}
+        for side in ("base", "head"):
+            counts = [r["attempted"] for r in mine if r["side"] == side]
+            attempted[side] = statistics.median(counts) if counts else None
+        rss = metrics.get("peak_rss_mb")
+        per_job = None
+        if rss and None not in attempted.values() and attempted["head"] != attempted["base"]:
+            per_job = (rss["head"]["median"] - rss["base"]["median"]) / (attempted["head"] - attempted["base"])
         out[workload] = {"metrics": metrics, "max_failed_frac": failed,
-                         "all_correct": all(r["correct"] for r in mine)}
+                         "all_correct": all(r["correct"] for r in mine),
+                         "median_attempted": attempted, "rss_mb_per_job": per_job}
     return out
 
 
