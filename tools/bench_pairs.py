@@ -31,7 +31,8 @@ import sys
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its detail line and its result line."""
+    """One untraced perfbench run: its metrics, correctness, failed share,
+    job count, the untimed check's seconds and NumPy version."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -43,6 +44,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         "correct": result["correct"],
         "failed_frac": detail["failed_frac"],
         "attempted": detail["attempted"],
+        "check_s": detail["check_s"],
         "numpy": detail["provenance"].get("numpy"),
     }
 
