@@ -482,7 +482,6 @@ def test_shared_parser_help_follows_columns(capsys, monkeypatch):
             assert run_cli(capsys, "verify", "--help") == shared
         outs.append(shared[1])
     narrow, wide = outs
-    assert narrow != wide
     assert max(map(len, narrow.splitlines())) < max(map(len, wide.splitlines()))
 
 

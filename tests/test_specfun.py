@@ -477,7 +477,6 @@ def test_bessel_series_tight_tolerance_is_met_or_refused():
     # large terms whose rounding a charge on the difference alone misses
     # (errors 2.2e-17 on J = 1.9e-3 and 1.1e-15 on J = 0.32).
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     rng = np.random.default_rng(23)
     nus = rng.uniform(0.0, 60.0, 240)
     nus[:80] = np.round(nus[:80])
@@ -485,14 +484,15 @@ def test_bessel_series_tight_tolerance_is_met_or_refused():
     points = list(zip(nus.tolist(), xs.tolist())) + [(17.0, 11.03), (8.42, 9.93)]
     met = dict.fromkeys((2e-15, 1e-13, 1e-12), 0)
     for nu, x in points:
-        ref = mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))
+        with mpmath.workdps(40):
+            ref = mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))
         for rel_tol in met:
             tight = Tolerance(abs_tol=1e-300, rel_tol=rel_tol)
             try:
                 got = bessel_j(nu, x, tol=tight)
             except PrecisionError:
                 continue
-            err = abs(float(mpmath.mpf(got) - ref))
+            err = abs(got - float(ref))
             assert err <= max(tight.abs_tol, rel_tol * abs(float(ref))), (nu, x, rel_tol, err)
             met[rel_tol] += 1
     # the loosest of them is met nearly everywhere: the check has points to check
