@@ -111,7 +111,7 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
             attempted[side] = statistics.median(counts) if counts else None
         rss = metrics.get("peak_rss_mb")
         per_job = None
-        if rss and None not in attempted.values() and attempted["head"] != attempted["base"]:
+        if rss and attempted["head"] != attempted["base"]:  # rss: both sides have runs
             per_job = (rss["head"]["median"] - rss["base"]["median"]) / (attempted["head"] - attempted["base"])
         out[workload] = {"metrics": metrics, "max_failed_frac": failed,
                          "all_correct": all(r["correct"] for r in mine),
