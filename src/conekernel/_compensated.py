@@ -3,6 +3,13 @@
 The arithmetic takes scalar doubles and numpy arrays alike: it is written
 with plain arithmetic operators.  Double-double values are (hi, lo) pairs
 with hi + lo the intended value and |lo| <= ulp(hi)/2.
+
+No helper calls another.  The small-x Bessel series calls them about 10^5
+times per run (five per series term), and a nested call per Veltkamp split
+and per renormalization cost more than the flops it wraps.  So each helper
+does its own splits (c = 2^27 + 1 times a, hi = c - (c - a), lo = a - hi)
+and its own closing quick-two-sum (s = a + b, e = b - (s - a), |a| >= |b|)
+in place, with the operations in the classic order.
 """
 
 from __future__ import annotations
@@ -18,43 +25,59 @@ def two_sum(a, b):
     return s, e
 
 
-def quick_two_sum(a, b):
-    """two_sum assuming |a| >= |b|."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def split(a):
-    """Veltkamp split of a into high/low 26-bit halves."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 def two_prod(a, b):
     """a * b as (product, exact roundoff). No FMA assumed."""
     p = a * b
-    ah, al = split(a)
-    bh, bl = split(b)
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    bl = b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
 
 
 def dd_add(a, b):
-    s, e = two_sum(a[0], b[0])
+    """Double-double a + b."""
+    a0, b0 = a[0], b[0]
+    s = a0 + b0
+    t = s - a0
+    e = (a0 - (s - t)) + (b0 - t)
     e = e + a[1] + b[1]
-    return quick_two_sum(s, e)
+    hi = s + e
+    return hi, e - (hi - s)
 
 
 def dd_mul(a, b):
-    p, e = two_prod(a[0], b[0])
-    e = e + a[0] * b[1] + a[1] * b[0]
-    return quick_two_sum(p, e)
+    """Double-double a * b."""
+    a0, b0 = a[0], b[0]
+    p = a0 * b0
+    c = _SPLITTER * a0
+    ah = c - (c - a0)
+    al = a0 - ah
+    c = _SPLITTER * b0
+    bh = c - (c - b0)
+    bl = b0 - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = e + a0 * b[1] + a[1] * b0
+    hi = p + e
+    return hi, e - (hi - p)
 
 
 def dd_div(a, b):
-    q1 = a[0] / b[0]
-    p, e = two_prod(q1, b[0])
-    r = (((a[0] - p) - e) + a[1]) - q1 * b[1]
-    q2 = r / b[0]
-    return quick_two_sum(q1, q2)
+    """Double-double a / b."""
+    a0, b0 = a[0], b[0]
+    q1 = a0 / b0
+    p = q1 * b0
+    c = _SPLITTER * q1
+    qh = c - (c - q1)
+    ql = q1 - qh
+    c = _SPLITTER * b0
+    bh = c - (c - b0)
+    bl = b0 - bh
+    e = ((qh * bh - p) + qh * bl + ql * bh) + ql * bl
+    r = (((a0 - p) - e) + a[1]) - q1 * b[1]
+    q2 = r / b0
+    hi = q1 + q2
+    return hi, q2 - (hi - q1)

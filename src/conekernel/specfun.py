@@ -231,7 +231,7 @@ def _bessel_series(nu: float, x: float, tol: Tolerance) -> float:
         expo_err = 4.0 * 2.3e-16
     else:
         a = nu * math.log(h)
-        lg = log_gamma(nu + 1.0)
+        lg = _lanczos(nu + 1.0, math.log)  # nu + 1 >= 1: log_gamma without its checks
         expo = a - lg
         t0 = math.exp(expo) if expo > -745.0 else 0.0
         # the rounding of a and of lg, each far larger than expo near

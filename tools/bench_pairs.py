@@ -13,8 +13,10 @@ head won and whether the head's median is worse than the base's by more
 than the metric's bound.  Per workload it also holds each side's median
 job count (``attempted``) and the RSS cost per job: the difference of the
 ``peak_rss_mb`` medians over the difference of the job-count medians
-(null when the counts are equal), which sizes how far a throughput gain
-can go before ``peak_rss_mb`` breaks its bound.  Provenance records
+(null when the counts are equal), and ``rss_headroom_ratio``, the
+throughput ratio at which that cost would carry the ``peak_rss_mb`` median
+to its bound: how far a throughput gain can go before ``peak_rss_mb``
+breaks its bound.  Provenance records
 nproc, Python, NumPy, platform and both commits.  Which way is better,
 and each bound, also come from ``BENCHMARK.json``.
 """
@@ -68,7 +70,11 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
     Per workload, median_attempted is each side's median job count (None
     for a side with no runs) and rss_mb_per_job the difference of the
     peak_rss_mb medians over that of the job-count medians (None when
-    either is missing or the counts are equal)."""
+    either is missing or the counts are equal).  rss_headroom_ratio is the
+    throughput ratio at which the peak_rss_mb median would reach its
+    bound, 1 + bound * base RSS median / (rss_mb_per_job * base median
+    job count), if RSS grows linearly with jobs (None when rss_mb_per_job
+    is None or not positive)."""
     out: dict = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
@@ -110,12 +116,15 @@ def summarize(runs: list, better: dict, bounds: dict) -> dict:
             counts = [r["attempted"] for r in mine if r["side"] == side]
             attempted[side] = statistics.median(counts) if counts else None
         rss = metrics.get("peak_rss_mb")
-        per_job = None
+        per_job = headroom = None
         if rss and attempted["head"] != attempted["base"]:  # rss: both sides have runs
             per_job = (rss["head"]["median"] - rss["base"]["median"]) / (attempted["head"] - attempted["base"])
+            if per_job > 0.0:
+                headroom = 1.0 + bounds["peak_rss_mb"] * rss["base"]["median"] / (per_job * attempted["base"])
         out[workload] = {"metrics": metrics, "max_failed_frac": failed,
                          "all_correct": all(r["correct"] for r in mine),
-                         "median_attempted": attempted, "rss_mb_per_job": per_job}
+                         "median_attempted": attempted, "rss_mb_per_job": per_job,
+                         "rss_headroom_ratio": headroom}
     return out
 
 
