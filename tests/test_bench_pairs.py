@@ -99,3 +99,17 @@ def test_summary_reports_job_counts_and_rss_per_job():
     alone = bench_pairs.summarize(base_only, better, BOUNDS)["tip-verify"]
     assert alone["median_attempted"] == {"base": 2000, "head": None}
     assert alone["rss_mb_per_job"] is None
+
+
+def test_summary_reports_rss_headroom_ratio():
+    better = {"points_per_s": "higher", "peak_rss_mb": "lower"}
+    # 0.01 MB per job: the 0.15 bound on a 50 MB base allows 7.5 MB, that
+    # is 750 more jobs than the base's 2000, a throughput ratio of 1.375
+    runs = _rss_runs(50.0, 56.0, head_pps=130.0, base_jobs=2000, head_jobs=2600)
+    tip = bench_pairs.summarize(runs, better, BOUNDS)["tip-verify"]
+    assert tip["rss_headroom_ratio"] == pytest.approx(1.375)
+    # no per-job cost, or RSS falling as jobs rise: no ratio
+    same = bench_pairs.summarize(_rss_runs(50.0, 51.0), better, BOUNDS)["tip-verify"]
+    assert same["rss_mb_per_job"] is None and same["rss_headroom_ratio"] is None
+    falling = _rss_runs(50.0, 49.0, base_jobs=2000, head_jobs=2600)
+    assert bench_pairs.summarize(falling, better, BOUNDS)["tip-verify"]["rss_headroom_ratio"] is None

@@ -3,6 +3,7 @@
 Expected values marked "frozen" were produced by an extended-precision
 (40-digit mpmath) reference implementation and pasted here as literals.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -429,6 +430,36 @@ SERIES_FROZEN = [
 def test_bessel_series_frozen_bitwise():
     for nu, x, frozen in SERIES_FROZEN:
         assert bessel_j(nu, x).hex() == frozen, (nu, x)
+
+
+# SHA-256 of every outcome below, frozen from the power series as it was
+# before its double-double helpers were flattened: any change of a value's
+# bits, or of a refusal's achieved bound, changes the digest.
+SERIES_GRID_DIGEST = "12a56e11e0c830711fc45ca91dcc524025354f6d3498a71e4e5c9f9baf67ce3f"
+
+
+def test_bessel_series_grid_digest_frozen():
+    # 2,000 seeded (nu, x): integer, half-integer and generic nu in [0, 80],
+    # log-uniform x in [1e-6, 12], each at the default tolerance and at
+    # rel_tol 1e-14, which about two in five of them refuse.
+    rng = np.random.default_rng(2026)
+    nus = rng.uniform(0.0, 80.0, 2000)
+    nus[:400] = np.round(nus[:400])
+    nus[400:800] = np.floor(nus[400:800]) + 0.5
+    xs = np.exp(rng.uniform(math.log(1e-6), math.log(12.0), 2000))
+    tight = Tolerance(abs_tol=1e-300, rel_tol=1e-14)
+    digest = hashlib.sha256()
+    refused = 0
+    for nu, x in zip(nus.tolist(), xs.tolist()):
+        for tol in (DEFAULT_TOL, tight):
+            try:
+                out = specfun._bessel_series(nu, x, tol).hex()
+            except PrecisionError as exc:
+                out = "PrecisionError " + float(exc.achieved).hex()
+                refused += 1
+            digest.update(f"{nu.hex()} {x.hex()} {out}\n".encode())
+    assert refused == 1598
+    assert digest.hexdigest() == SERIES_GRID_DIGEST
 
 
 def _series_achieved(nu, x):
