@@ -20,7 +20,9 @@ formed once per cone and kept for later calls on it: a one-entry memo
 (_Cone) holds the last cone's prefixes, and a call slices them, growing
 them when it needs more orders.  Every slice is bitwise what a fresh build
 gives, so no value depends on what ran before.  The truncation search
-starts at an index below which no term can pass (_first_index).  A one-x
+certifies the tail in one arithmetic, a NumPy pass over a block of (x, m)
+cells (_tails), and starts at an index below which no term can pass
+(_first_index).  A one-x
 call (eval_I, eval_I_multi) computes J_{nu_m}(x) order by order and sums
 the products exactly rounded.  In the Bessel quadrature region J comes
 from the sinc series of its own samples at half-integer orders
@@ -45,13 +47,7 @@ import numpy as np
 from . import specfun
 from ._checks import check_angle, check_nonnegative_int, check_positive
 from .errors import CapacityError, DomainError
-from .specfun import (
-    DEFAULT_TOL,
-    _lanczos,
-    _log_gamma_array,
-    gegenbauer_all,
-    log_gamma,
-)
+from .specfun import DEFAULT_TOL, gegenbauer_all, log_gamma
 from .spectrum import ConeParams, nu_many
 
 __all__ = [
@@ -68,17 +64,12 @@ __all__ = [
 
 _TRUNCATION_CAP = 10_000_000
 _RATIO_CAP = 0.95
-# Candidate indices screened per NumPy pass of the truncation search: the
+# Candidate indices per block of the truncation search (_truncations): the
 # block doubles from the first size up to the last, so a search that ends
 # at M costs O(M) array work and never allocates more than one block.
 _BLOCK_FIRST = 64
 _BLOCK_LAST = 1 << 15
-# Relative width of the screen's margin, measured against the magnitude of
-# the summands of a log-tail term.  The array and scalar forms of a term
-# differ by a few ulps of that magnitude (np.log and math.log may round
-# differently); the margin is over a thousand times wider.
-_SCREEN_SLACK = 1e-12
-# Largest (x values x candidate indices) array of one screen pass (2 MB).
+# Largest (x values x candidate indices) array of one _tails call (2 MB).
 _SCREEN_ELEMS = 1 << 18
 # A band's rounding scale eps * sum_{m < N_b} |a_m| may exceed each
 # member's own eps * sum_{m <= M(x)} |a_m| by at most this factor (_groups).
@@ -125,29 +116,6 @@ class SeriesResult:
     tail_bound: float
 
 
-def _certify_tail(params: ConeParams, x: float, m: int, tol: float) -> float | None:
-    """Certified bound on the tail beyond index m, or None if the
-    geometric closure does not yet apply.  The x-independent summands of
-    each log-tail term come from the cone's memo (_Cone.summands)."""
-    summands = _cone_of(params, m + 4).summands
-    d = params.d
-
-    def log_term(j):  # log of the j-th tail majorant term (endpoint Gegenbauer bound)
-        log_weight, log_c_end, nm, lg_nu = summands(j)
-        return -d * math.log(x) + log_weight + log_c_end + nm * math.log(0.5 * x) - lg_nu
-
-    lt1 = log_term(m + 1)
-    if lt1 >= math.log(tol) - math.log(10.0):
-        return None
-    lt2 = log_term(m + 2)
-    lt3 = log_term(m + 3)
-    r = max(math.exp(lt2 - lt1), math.exp(lt3 - lt2))
-    if r > _RATIO_CAP:
-        return None
-    tail = math.exp(lt1) / (1.0 - r)
-    return tail if tail < tol else None
-
-
 def _nu(params: ConeParams, m: int) -> float:
     """nu_m by nu_many's arithmetic on one m, unvalidated."""
     fm, d = float(m), params.d
@@ -156,8 +124,8 @@ def _nu(params: ConeParams, m: int) -> float:
 
 def _per_order(params: ConeParams, lo: int, hi: int) -> tuple:
     """For m in [lo, hi): nu_m, cos and sin of the phase -pi nu_m/2, the
-    weight (m+d)/d, and the screen's x-independent parts of a log-tail
-    term, log((m+d)/d) + log Gamma(m+2d) - log Gamma(m+1) and
+    weight (m+d)/d, and _tails's x-independent parts of a log-tail term,
+    log((m+d)/d) + log Gamma(m+2d) - log Gamma(m+1) and
     log Gamma(nu_m + 1).  Every entry is elementwise in m."""
     d = params.d
     ms = np.arange(lo, hi)
@@ -166,8 +134,8 @@ def _per_order(params: ConeParams, lo: int, hi: int) -> tuple:
     # e^{-i pi nu/2}: reduce nu mod 4 exactly first (fmod is exact).
     angles = -0.5 * math.pi * np.mod(nus, 4.0)
     weight = (fm + d) / d
-    lg_top, lg_fact, lg_nu = _log_gamma_array(
-        np.concatenate((fm + 2.0 * d, fm + 1.0, nus + 1.0))
+    lg_top, lg_fact, lg_nu = specfun._lanczos(
+        np.concatenate((fm + 2.0 * d, fm + 1.0, nus + 1.0)), np.log
     ).reshape(3, -1)
     return nus, np.cos(angles), np.sin(angles), weight, np.log(weight) + (lg_top - lg_fact), lg_nu
 
@@ -187,13 +155,13 @@ def _grown(k: int, need: int) -> int:
 
 class _Cone:
     """The x-independent work on one cone: the _per_order arrays and the
-    sinc window as prefixes over m = 0, 1, ..., one Gegenbauer row per
-    angle of the last call, and the confirm's summands per m.  Each entry
-    is elementwise in m or a sequential recurrence, so a slice is bitwise
-    one pass over it.  Arrays and rows refill by _grown; the window, nearly
-    all of the memory, only to what a call needs (doubled, it held 2.2-2.8
-    MB more peak RSS over six thin-growth rounds).  Arrays are read-only
-    and a call reads one snapshot of each entry."""
+    sinc window as prefixes over m = 0, 1, ..., and one Gegenbauer row per
+    angle of the last call.  Each entry is elementwise in m or a sequential
+    recurrence, so a slice is bitwise one pass over it.  Arrays and rows
+    refill by _grown; the window, nearly all of the memory, only to what a
+    call needs (doubled, it held 2.2-2.8 MB more peak RSS over six
+    thin-growth rounds).  Arrays are read-only and a call reads one
+    snapshot of each entry."""
 
     def __init__(self, params: ConeParams) -> None:
         self.params = params
@@ -201,7 +169,6 @@ class _Cone:
         self._orders = (np.empty(0),) * 6
         self._window = (np.empty(0, np.int64), np.empty((0, 2 * specfun._TAPS + 1)))
         self._rows: dict = {}
-        self._summands: dict = {}
 
     def orders(self, lo: int, hi: int) -> tuple:
         """_per_order(params, lo, hi); a search block past the memo's
@@ -232,18 +199,6 @@ class _Cone:
         self._rows = rows
         return [rows[phi][:n] for phi in phis]
 
-    def summands(self, m: int) -> tuple:
-        """log((m+d)/d), log C_m^d(1), nu_m and log Gamma(nu_m + 1) as
-        scalars: the x-independent summands of the m-th log-tail term."""
-        out = self._summands.get(m)
-        if out is None:
-            # m >= 1 keeps every argument but 2d at or above 1, where
-            # log_gamma is the bare Lanczos sum
-            d, nm = self.params.d, _nu(self.params, m)
-            log_c_end = _lanczos(m + 2.0 * d, math.log) - _lanczos(m + 1.0, math.log) - self.log_gamma_2d
-            out = self._summands[m] = (math.log((m + d) / d), log_c_end, nm, _lanczos(nm + 1.0, math.log))
-        return out
-
 
 _cone: _Cone | None = None
 
@@ -261,53 +216,48 @@ def _cone_of(params: ConeParams, n: int = 0) -> _Cone:
     return cone
 
 
-def _screen(cone: _Cone, xs, tol: float, m0: int, m1: int):
-    """For each x, the indices m in [m0, m1) that may pass _certify_tail,
-    from array passes over the (x, m) grid.  Every test is biased towards
-    passing by more than the array and scalar forms of the log-tail terms
-    can differ, so every index that the scalar check accepts is kept; the
-    caller confirms them in order.  The x-independent parts of the terms
-    come from the cone's memo; at most _SCREEN_ELEMS grid cells are held
-    at a time."""
+def _tails(cone: _Cone, xs, tol: float, m0: int, m1: int) -> np.ndarray:
+    """The certified bound on the tail beyond m, for each x of xs and each
+    m in [m0, m1), as an (x, m) array holding inf where the certificate
+    fails.  With t_j(x) the j-th term of the tail majorant (module
+    docstring), m is certified when log t_{m+1} < log(tol/10),
+    r = max(t_{m+2}/t_{m+1}, t_{m+3}/t_{m+2}) <= _RATIO_CAP and the
+    geometric closure t_{m+1}/(1 - r) is below tol; that closure is the
+    bound.  Every cell is elementwise in (x, m), so it is bitwise the same
+    in any block; the x-independent parts of log t come from the cone's
+    memo."""
     d = cone.params.d
     nms, _, _, _, base, lg_nu = cone.orders(m0 + 1, m1 + 3)
-    # every summand, log-gamma internals included, is largest at the last m
-    size = float(nms[-1]) + float(m1 + 2) + 2.0 * d + 10.0
+    log_x = np.array([math.log(x) for x in xs])[:, None]
+    log_h = np.array([math.log(0.5 * x) for x in xs])[:, None]
+    lt = base + (nms * log_h - lg_nu) + (-d * log_x - cone.log_gamma_2d)
+    lt1 = lt[:, :-2]
     lt_cut = math.log(tol) - math.log(10.0)
-    found = []
-    rows = max(1, _SCREEN_ELEMS // nms.shape[0])
-    for lo in range(0, len(xs), rows):
-        part = xs[lo : lo + rows]
-        log_x = np.array([math.log(x) for x in part])[:, None]
-        log_h = np.array([math.log(0.5 * x) for x in part])[:, None]
-        lt = base + (nms * log_h - lg_nu) + (-d * log_x - cone.log_gamma_2d)
-        slack = _SCREEN_SLACK * (
-            1.0 + np.abs(d * log_x) + float(nms[-1]) * np.abs(log_h) + 4.0 * size * math.log(size)
-        )
-        # clipping keeps exp finite without changing any verdict
-        lt1 = np.minimum(lt[:, :-2] - slack, lt_cut)
-        steps = np.diff(lt, axis=1)
-        r = np.exp(np.minimum(np.maximum(steps[:, :-1], steps[:, 1:]) - slack, 0.0))
-        tail = np.exp(lt1) / (1.0 - np.minimum(r, _RATIO_CAP))
-        ok = (lt1 < lt_cut) & (r <= _RATIO_CAP) & (tail < tol)
-        found.extend(m0 + np.nonzero(row)[0] for row in ok)
-    return found
+    steps = np.diff(lt, axis=1)
+    # clipping keeps exp finite without changing any verdict
+    r = np.exp(np.minimum(np.maximum(steps[:, :-1], steps[:, 1:]), 0.0))
+    tail = np.exp(np.minimum(lt1, lt_cut)) / (1.0 - np.minimum(r, _RATIO_CAP))
+    return np.where((lt1 < lt_cut) & (r <= _RATIO_CAP) & (tail < tol), tail, math.inf)
 
 
 def _first_index(params: ConeParams, xs, tol: float) -> int:
-    """An index below which no m passes _certify_tail at any x of xs:
+    """An index below which _tails certifies no m at any x of xs:
     m0 = #{m >= 0 : nu_{m+1} <= x_min/2} when 2d >= 1, x_min >= 2 and
     -d log x_max >= log(tol/10) + 1, and 0 otherwise.
 
-    Proof.  _certify_tail(m) needs log t_{m+1}(x) < log(tol/10), with
+    Proof.  _tails certifies m only if its computed log t_{m+1}(x) is below
+    log(tol/10), with
     t_j(x) = x^{-d} ((j+d)/d) C_j^d(1) (x/2)^{nu_j} / Gamma(nu_j + 1).  For
     m < m0, nu = nu_{m+1} <= x_min/2 <= x/2, and (x/2)^nu / Gamma(nu+1) >= 1:
     for nu <= 1, Gamma(nu+1) <= 1 <= (x/2)^nu as x >= 2; for nu >= 1,
     Gamma(nu+1) <= nu^nu (equality at 1, and the log of the ratio has
     derivative psi(nu+1) - log nu - 1 < 1/(2 nu) - 1 < 0), and
     nu^nu <= (x/2)^nu.  Also (j+d)/d >= 1, and C_j^d(1) = (2d)_j / j! >= 1
-    as 2d >= 1.  So t_{m+1}(x) >= x^{-d} >= x_max^{-d}, and log t exceeds
-    the cut by at least 1, far beyond the rounding of its computed form."""
+    as 2d >= 1.  So t_{m+1}(x) >= x^{-d} >= x_max^{-d}, and the exact log t
+    exceeds the cut by at least 1.  The array form in _tails rounds a
+    handful of summands no larger than about (nu + m + 2d) log(nu + m + 2d)
+    (the Lanczos sums of log Gamma) and nu log(x/2); while those stay below
+    about 1e14, a few ulps of them are well below 1."""
     d = params.d
     x_min, x_max = min(xs), max(xs)
     if 2.0 * d < 1.0 or x_min < 2.0 or -d * math.log(x_max) < math.log(tol) - math.log(10.0) + 1.0:
@@ -326,13 +276,13 @@ def _first_index(params: ConeParams, xs, tol: float) -> int:
 
 
 def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
-    """(M, tail bound) for every x: the first m in [0, _TRUNCATION_CAP] that
-    _certify_tail accepts, with its tail bound.  The search starts at
-    _first_index, below which no m can pass.  Each block of the schedule
-    is screened for all still-uncertified x in one grid pass, and each x's
-    survivors are confirmed in order by the scalar check, with the cone's
-    cached summands, so M and the bound equal a scan of _certify_tail over
-    m = 0, 1, 2, ... at that x."""
+    """(M, tail bound) for every x: the first m in [0, _TRUNCATION_CAP] at
+    which _tails certifies the tail, with its bound.  The search starts at
+    _first_index, below which no m can pass, and takes the blocks of the
+    schedule in turn, each for all still-uncertified x at once, in _tails
+    calls of at most _SCREEN_ELEMS cells.  A cell does not depend on the
+    block it is computed in, so M and the bound equal a scan of one-cell
+    _tails calls over m = 0, 1, 2, ... at that x."""
     cone = _cone_of(params)
     found: list = [None] * len(xs)
     pending = list(range(len(xs)))
@@ -340,13 +290,14 @@ def _truncations(params: ConeParams, xs, tol: float) -> list[tuple[int, float]]:
     block = _BLOCK_FIRST
     while pending and m0 <= _TRUNCATION_CAP:
         m1 = min(m0 + block, _TRUNCATION_CAP + 1)
-        candidates = _screen(cone, [xs[i] for i in pending], tol, m0, m1)
-        for i, cands in zip(pending, candidates):
-            for m in cands:
-                tail = _certify_tail(params, xs[i], int(m), tol)
-                if tail is not None:
-                    found[i] = (int(m), tail)
-                    break
+        rows = max(1, _SCREEN_ELEMS // (m1 - m0 + 2))
+        for lo in range(0, len(pending), rows):
+            part = pending[lo : lo + rows]
+            tails = _tails(cone, [xs[i] for i in part], tol, m0, m1)
+            first = np.argmax(tails < math.inf, axis=1)
+            for i, k, tail in zip(part, first.tolist(), tails[np.arange(len(part)), first].tolist()):
+                if tail < math.inf:
+                    found[i] = (m0 + k, tail)
         pending = [i for i in pending if found[i] is None]
         m0 = m1
         block = min(2 * block, _BLOCK_LAST)
@@ -422,7 +373,7 @@ def _eval_grid(
     """The series at every x of xs and every angle of phis, unvalidated,
     as one list of per-angle results per x.  What does not depend on x is
     sliced from the cone's memo (_Cone), formed once per cone and grown
-    when this grid needs more: the truncation screen's terms, the nu
+    when this grid needs more: the truncation search's terms, the nu
     ladder and its phases up to the largest M, one Gegenbauer row per
     angle, and the Bessel sinc window over the longest run of quadrature
     orders (none if there is none).
@@ -440,8 +391,8 @@ def _eval_grid(
     if terms is None:
         truncated = _truncations(params, xs, tol)
     else:
-        certified = [_certify_tail(params, x, int(terms), tol) for x in xs]
-        truncated = [(int(terms), math.inf if c is None else c) for c in certified]
+        tails = _tails(_cone_of(params), xs, tol, int(terms), int(terms) + 1)
+        truncated = [(int(terms), tail) for tail in tails[:, 0].tolist()]
     nus, (phase_re, phase_im), weight, cgs = _ladder(params, max(m for m, _ in truncated), phis)
     scales = [x ** (-params.d) for x in xs]
     # every Bessel batch and band reads a slice of one sinc window over the

@@ -156,15 +156,10 @@ def _log_gamma_error(z: float) -> float:
     return ((z - 0.5) * math.log(t) + t) * 4.4e-16
 
 
-def _log_gamma_array(z: np.ndarray) -> np.ndarray:
-    """log Gamma over an array of arguments z >= 0.5, unvalidated.  The
-    same Lanczos sum as log_gamma; np.log may round differently from
-    math.log, so a value can differ from the scalar one in the last ulp."""
-    return _lanczos(z, np.log)
-
-
 def _lanczos(z, log):
-    # Lanczos sum for z >= 0.5; z is a float or an array and log matches it.
+    # Lanczos sum for z >= 0.5; z is a float or an array and log matches it
+    # (math.log or np.log).  np.log may round differently from math.log, so
+    # an array value can differ from the scalar one in the last ulp.
     w = z - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, 9):

@@ -3,8 +3,8 @@
 kernel_series keeps the x-independent work of the last cone it evaluated
 (_Cone).  No value may depend on what the memo holds: every result must be
 bitwise the one a cold memo gives, whatever ran before.  The truncation
-search starts at _first_index, and must still equal a scan of the
-four-argument _certify_tail from m = 0.
+search starts at _first_index, and must still equal a scan from m = 0 of
+one-cell tail certificates (_certify_tail, one cell of _tails).
 """
 import gc
 import math
@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_scan_grid import _result_bits
+from test_truncation_frozen import _certify_tail
 
 import conekernel.kernel_series as ks
 from conekernel import ConeParams, eval_I_multi, make_grid, scan
-from conekernel.kernel_series import _certify_tail, _eval_grid, _first_index, _ladder, _truncations
+from conekernel.kernel_series import _eval_grid, _first_index, _ladder, _truncations
 
 CONE = ConeParams(rho=0.6, n=3, c=0.0)
 OTHER = ConeParams(rho=1.7, n=5, c=0.4)
@@ -104,7 +105,6 @@ def test_memo_keeps_no_order_past_its_cap(cold, monkeypatch):
         assert [_bits(eval_I_multi(CONE, x, PHIS)) for x in xs] == reference
     cone = ks._cone
     assert max(len(cone._orders[0]), len(cone._window[0]), *map(len, cone._rows.values())) <= 32
-    assert 0 < len(cone._summands) and max(cone._summands) < 32
 
 
 def test_threads_sharing_the_memo_get_cold_values(cold):
@@ -140,7 +140,7 @@ def test_threads_sharing_the_memo_get_cold_values(cold):
 # First index of the truncation search.
 # ---------------------------------------------------------------------------
 def _first_certified(params, x, tol):
-    """M and its bound by the four-argument _certify_tail from m = 0."""
+    """M and its bound by one-cell _certify_tail calls from m = 0."""
     m = 0
     while (tail := _certify_tail(params, x, m, tol)) is None:
         m += 1
