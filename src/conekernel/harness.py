@@ -150,7 +150,7 @@ def scan(
 ) -> ScanTable:
     """Evaluate the series on the product grid.  The x values go through
     one grid evaluation, kernel_series._eval_grid: what does not depend on
-    x (the truncation screen's terms, the nu ladder, one Gegenbauer row per
+    x (the truncation search's terms, the nu ladder, one Gegenbauer row per
     angle, the Bessel sinc window) is formed once per cone and reused by
     later calls on the same cone, and each x's Bessel work is shared by all
     angles.

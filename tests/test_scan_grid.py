@@ -168,7 +168,7 @@ def test_batched_truncation_on_frozen_grid():
 @pytest.mark.parametrize("screen_elems", [ks._SCREEN_ELEMS, 64])
 @pytest.mark.parametrize("rho,n,c", [(2 / 3, 4, 1.3), (2.5, 8, 0.0)])
 def test_batched_truncation_on_log_grid(monkeypatch, screen_elems, rho, n, c):
-    # 64 cells per pass forces one x per screen pass
+    # 64 cells per _tails call forces one x per call
     params = ConeParams(rho=rho, n=n, c=c)
     xs = [float(x) for x in make_grid(1e-3, 2000.0, 600, "log")]
     one_x = [_truncations(params, [x], 1e-10)[0] for x in xs]
